@@ -23,8 +23,8 @@
    records the dual (max-throughput) objective checked against an
    independent scan of the min-cost curve, and single-cloud vs 3-book
    multi-cloud cost on the fig7 workload. BENCH_numeric.json records
-   the Fix64 fast-kernel speedup over exact Rat on the LP/MILP hot
-   path and the exact-fallback rate on the paper and overflow-stress
+   the fast engine's speedup over exact Rat on the LP/MILP hot path
+   and the exact-fallback rate on the paper and overflow-stress
    workloads. BENCH_autoscale.json records the elastic controller's
    total rental cost against the static-peak and clairvoyant-oracle
    policies on a seeded diurnal trace. BENCH_load.json records the
@@ -135,14 +135,6 @@ let ilp_nodes ?node_limit inst ~target =
 let ilp_ablation_nodes ?warm_start ?cut_rounds problem ~target () =
   (Rentcost.Ilp.optimize ?warm_start ?cut_rounds ~problem ~target ())
     .Rentcost.Ilp.nodes
-
-let milp_engine engine problem ~target () =
-  let model, integer = Rentcost.Ilp.model ~problem ~target () in
-  let j = Rentcost.Problem.num_recipes problem in
-  (Milp.Solver.solve ~integral_objective:true ~engine
-     ~priority:[ List.init j Fun.id ]
-     model ~integer)
-    .Milp.Solver.nodes
 
 let heuristic name ?(params = H.default_params) inst ~target () =
   (S.run ~rng:(P.create kernel_seed) ~params ~spec:(S.Heuristic name)
@@ -312,10 +304,6 @@ let ablation =
       Test.make ~name:"h32jump_step10_rho70"
         (Staged.stage
            (heuristic H.H32_jump ~params:params10 illustrating_instance ~target:70));
-      Test.make ~name:"milp_engine_bounds_rho130"
-        (Staged.stage (milp_engine Milp.Solver.Bounds illustrating ~target:130));
-      Test.make ~name:"milp_engine_rows_rho130"
-        (Staged.stage (milp_engine Milp.Solver.Rows illustrating ~target:130));
       Test.make ~name:"h32_exhaustive_deltas_rho70"
         (Staged.stage
            (heuristic H.H32
@@ -524,22 +512,18 @@ let scenarios_group =
            (solver_nodes S.Exact_ilp illustrating_multicloud_instance
               ~target:70)) ]
 
-(* --- numeric kernels: Fix64 fast path vs the exact Rat kernel ---
+(* --- numeric engines: the ff64 fast path vs the exact Rat simplex ---
 
    Both sides solve the SAME prebuilt model (the solvers never mutate
-   it; the MILP copies per node), so the split isolates kernel
-   arithmetic from model construction. Results are bit-identical by
-   the kernel contract — asserted in --smoke and in the differential
-   test suite, so these pairs measure speed, not behaviour. *)
+   it; the MILP copies per node), so the split isolates tableau
+   arithmetic from model construction. Results are bit-identical —
+   asserted in --smoke and in the differential test suite, so these
+   pairs measure speed, not behaviour. *)
 
 let lp_model_illustrating =
   lazy (fst (Rentcost.Ilp.model ~problem:illustrating ~target:70 ()))
 
-(* The fig7 relaxation: 50-100 task recipes, the paper-scale LP. The
-   fig6/fig8 workloads are deliberately absent from the timed pairs:
-   their relaxations overflow the fast range mid-pivot (the driver
-   falls back to Rat there — measured under "fallback" below), so a
-   kernel split on them would time an exception, not a solve. *)
+(* The fig7 relaxation: 50-100 task recipes, the paper-scale LP. *)
 let lp_model_large =
   lazy (fst (Rentcost.Ilp.model ~instance:(Lazy.force large_instance) ~target:100 ()))
 
@@ -555,25 +539,22 @@ let milp_nodes_on (module Search : Milp.Solver.SEARCH) () =
     .Milp.Solver.nodes
 
 let numeric_group =
-  let fa = Numeric.Fix64.of_ints 355 113 and fb = Numeric.Fix64.of_ints 22 7 in
   Test.make_grouped ~name:"numeric"
-    [ Test.make ~name:"fix64_add"
-        (Staged.stage (fun () -> Numeric.Fix64.add fa fb));
-      Test.make ~name:"lp_simplex_rat_rho70"
+    [ Test.make ~name:"lp_simplex_rat_rho70"
         (Staged.stage (fun () ->
-             Lp.Simplex.Exact.solve (Lazy.force lp_model_illustrating)));
-      Test.make ~name:"lp_simplex_fix64_rho70"
+             Lp.Simplex.solve (Lazy.force lp_model_illustrating)));
+      Test.make ~name:"lp_simplex_ff64_rho70"
         (Staged.stage (fun () ->
              Lp.Simplex.Fast.solve (Lazy.force lp_model_illustrating)));
       Test.make ~name:"lp_simplex_rat_fig7_rho100"
         (Staged.stage (fun () ->
-             Lp.Simplex.Exact.solve (Lazy.force lp_model_large)));
-      Test.make ~name:"lp_simplex_fix64_fig7_rho100"
+             Lp.Simplex.solve (Lazy.force lp_model_large)));
+      Test.make ~name:"lp_simplex_ff64_fig7_rho100"
         (Staged.stage (fun () ->
              Lp.Simplex.Fast.solve (Lazy.force lp_model_large)));
       Test.make ~name:"milp_search_rat_rho130"
-        (Staged.stage (milp_nodes_on (module Milp.Solver.Exact)));
-      Test.make ~name:"milp_search_fix64_rho130"
+        (Staged.stage (milp_nodes_on (module Milp.Solver)));
+      Test.make ~name:"milp_search_ff64_rho130"
         (Staged.stage (milp_nodes_on (module Milp.Solver.Fast))) ]
 
 (* --- autoscale: traces, controller ticks, policy comparison --- *)
@@ -1161,17 +1142,17 @@ let ks_speedup k = k.ks_rat_us /. Float.max k.ks_fast_us 1e-9
 let lp_split ~reps ~inner label model =
   let m = Lazy.force model in
   { ks_label = label;
-    ks_rat_us = 1e6 *. best_of_seconds ~reps ~inner (fun () -> Lp.Simplex.Exact.solve m);
+    ks_rat_us = 1e6 *. best_of_seconds ~reps ~inner (fun () -> Lp.Simplex.solve m);
     ks_fast_us = 1e6 *. best_of_seconds ~reps ~inner (fun () -> Lp.Simplex.Fast.solve m);
-    ks_identical = lp_result_identical (Lp.Simplex.Fast.solve m) (Lp.Simplex.Exact.solve m) }
+    ks_identical = lp_result_identical (Lp.Simplex.Fast.solve m) (Lp.Simplex.solve m) }
 
-let milp_split ~reps ?engine label =
+let milp_split ~reps label =
   let outcome (module Search : Milp.Solver.SEARCH) =
     let model, integer, priority = Lazy.force milp_model_130 in
-    Search.solve ?engine ~integral_objective:true ~priority model ~integer
+    Search.solve ~integral_objective:true ~priority model ~integer
   in
   let a = outcome (module Milp.Solver.Fast)
-  and b = outcome (module Milp.Solver.Exact) in
+  and b = outcome (module Milp.Solver) in
   let identical =
     a.Milp.Solver.status = b.Milp.Solver.status
     && a.Milp.Solver.nodes = b.Milp.Solver.nodes
@@ -1187,7 +1168,7 @@ let milp_split ~reps ?engine label =
     ks_rat_us =
       1e6
       *. best_of_seconds ~reps ~inner:1 (fun () ->
-             outcome (module Milp.Solver.Exact));
+             outcome (module Milp.Solver));
     ks_fast_us =
       1e6
       *. best_of_seconds ~reps ~inner:1 (fun () ->
@@ -1196,7 +1177,7 @@ let milp_split ~reps ?engine label =
 
 type fallback_stats = { fb_solves : int; fb_fallbacks : int }
 
-(* Solves under [f] through the Fix64-first driver, read as counter
+(* Solves under [f] through the fast-first driver, read as counter
    deltas: every driver round trips exactly one of the two counters. *)
 let count_fallbacks f =
   let fast0 = Telemetry.value Telemetry.numeric_fast_solves in
@@ -1206,17 +1187,39 @@ let count_fallbacks f =
   let fb = Telemetry.value Telemetry.numeric_fallbacks - fb0 in
   { fb_solves = fast + fb; fb_fallbacks = fb }
 
-(* The default paper-scale workload: the § VII illustrating solves and
-   the capped figure kernels the bench groups run, all well inside the
-   fast range. The acceptance bar is zero fallbacks here. *)
+(* Configuration [config] of a paper preset as the figure sweeps draw
+   it: the [config]-th split of a PRNG seeded with the presets' default
+   seed 2016 (not the bench root seed). *)
+let preset_config id ~config =
+  let preset = Option.get (Cloudsim.Experiments.find id) in
+  let rng = P.create 2016 in
+  let r = ref (P.split rng) in
+  for _ = 1 to config do
+    r := P.split rng
+  done;
+  G.problem ~rng:!r preset.Cloudsim.Experiments.graphs
+    preset.Cloudsim.Experiments.cloud
+
+(* The paper-scale workload: the § VII illustrating MILPs, the fig6
+   (configuration 0) and fig7 (configuration 1) MILPs at two sweep
+   targets each, and two LP relaxations. The acceptance bar is zero
+   fallbacks here; the fig6/fig7 MILPs are what lets that bar fail, so
+   the workload must never shrink back to the small instances. *)
 let paper_workload () =
   List.iter
     (fun target -> ignore (Rentcost.Ilp.optimize ~problem:illustrating ~target ()))
     [ 70; 130 ];
+  List.iter
+    (fun (id, config) ->
+      let problem = preset_config id ~config in
+      List.iter
+        (fun target -> ignore (Rentcost.Ilp.optimize ~problem ~target ()))
+        [ 50; 150 ])
+    [ ("fig6", 0); ("fig7", 1) ];
   ignore (Rentcost.Ilp.lp_lower_bound (problem_of small_instance) ~target:100);
   ignore (Rentcost.Ilp.lp_lower_bound (problem_of large_instance) ~target:100)
 
-(* Costs near max_int sit far outside the Fix64 range, so every solve
+(* Costs near max_int sit far outside the fast range, so every solve
    must overflow the fast attempt and restart on Rat. *)
 let overflow_problem =
   let huge = max_int / 1024 in
@@ -1240,12 +1243,10 @@ let write_numeric_json ~path ~splits ~paper ~stress =
       (json_escape k.ks_label) k.ks_rat_us k.ks_fast_us (ks_speedup k)
       k.ks_identical
   in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-numeric/2\",\n";
+  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-numeric/3\",\n";
   Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
-  Printf.fprintf oc
-    "  \"kernels\": {\"fast_rows\": \"ff64\", \"fast_bounds\": \"%s\", \
-     \"exact\": \"%s\"},\n"
-    Numeric.Fix64.name Numeric.Kernel.Exact.name;
+  Printf.fprintf oc "  \"kernels\": {\"fast\": \"%s\", \"exact\": \"%s\"},\n"
+    Lp.Simplex.fast_kernel Lp.Simplex.exact_kernel;
   Printf.fprintf oc "  \"timings\": [\n%s\n  ],\n"
     (String.concat ",\n" (List.map split_json splits));
   Printf.fprintf oc
@@ -1263,13 +1264,7 @@ let emit_numeric_json ~reps =
     [ lp_split ~reps ~inner:20 "lp_simplex_illustrating_rho70"
         lp_model_illustrating;
       lp_split ~reps ~inner:2 "lp_simplex_fig7_rho100" lp_model_large;
-      (* The default Bounds node engine (Fix64 kernel) and the Rows
-         engine (fraction-free simplex at every node) — the Rows split
-         compares the same algorithm across kernels, so it is the
-         honest milp.search speedup measurement. *)
-      milp_split ~reps "milp_search_illustrating_rho130";
-      milp_split ~reps ~engine:Milp.Solver.Rows
-        "milp_search_rows_illustrating_rho130" ]
+      milp_split ~reps "milp_search_illustrating_rho130" ]
   in
   let paper = count_fallbacks paper_workload in
   let stress = count_fallbacks stress_workload in
@@ -1715,20 +1710,19 @@ let smoke () =
     (sc.sc_cost_multibook <= sc.sc_cost_single);
   check "identical-price books solve bit-identically to single-cloud"
     sc.sc_bit_identical;
-  (* Numeric kernels: the fast path (fraction-free rows engine, Fix64
-     bounds kernel) must answer bit-identically, clear 2x over the
-     exact kernel on the LP hot path and on Rows-engine MILP search,
-     and the default paper-scale workload must complete with zero
-     exact-kernel fallbacks (while the overflow stress workload must
-     fall back every time — the restart protocol demonstrably fires,
-     it is not dead code). *)
+  (* Numeric engines: the fast path (fraction-free ff64 simplex) must
+     answer bit-identically, clear 2x over the exact Rat simplex on the
+     LP hot path and on MILP search, and the paper-scale workload must
+     complete with zero exact fallbacks (while the overflow stress
+     workload must fall back every time — the restart protocol
+     demonstrably fires, it is not dead code). *)
   let splits, paper, stress = emit_numeric_json ~reps:5 in
   List.iter
-    (fun k -> check (k.ks_label ^ " bit-identical across kernels") k.ks_identical)
+    (fun k -> check (k.ks_label ^ " bit-identical across engines") k.ks_identical)
     splits;
   let split_named name = List.find (fun k -> k.ks_label = name) splits in
   (* The 2x bar is the paper-scale acceptance criterion and is gated
-     on the paper-scale models (fig7, rows-engine MILP). The § VII
+     on the paper-scale models (fig7, MILP search). The § VII
      illustrating LP finishes in ~15 us — too little work to amortize
      the scan machinery fully — so it gets a lower floor: still
      strictly faster, not laundered into the 2x claim. *)
@@ -1746,11 +1740,10 @@ let smoke () =
         %.2fx)"
        (ks_speedup lp7))
     (ks_speedup lp7 >= 2.0);
-  let mr = split_named "milp_search_rows_illustrating_rho130" in
+  let mr = split_named "milp_search_illustrating_rho130" in
   check
     (Printf.sprintf
-       "fast path at least 2x faster on rows-engine milp.search (measured \
-        %.2fx)"
+       "fast path at least 2x faster on milp.search (measured %.2fx)"
        (ks_speedup mr))
     (ks_speedup mr >= 2.0);
   check "paper workload exercised the driver" (paper.fb_solves > 0);

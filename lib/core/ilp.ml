@@ -1,11 +1,10 @@
 module R = Numeric.Rat
 
-(* The Fix64-first driver: run the solve on the native-int fast kernel
-   and transparently restart it on exact Rat when the fast kernel
-   overflows. Kernels agree bit-for-bit wherever they complete (see
-   Numeric.Kernel), so which kernel answered is unobservable in the
-   result — only in the counters below and the [lp.kernel] span
-   attribute. *)
+(* The fast-first driver: run the solve on the fraction-free native-int
+   engine and transparently restart it on exact Rat when that engine
+   overflows. The engines agree bit-for-bit wherever they complete (see
+   Lp.Simplex), so which one answered is unobservable in the result —
+   only in the counters below and the [lp.kernel] span attribute. *)
 let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
 let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
 
@@ -14,7 +13,7 @@ let with_rat_fallback ~fast ~exact =
   | result ->
     Telemetry.bump fast_solves_counter;
     result
-  | exception Numeric.Kernel.Overflow ->
+  | exception Lp.Simplex.Overflow ->
     Telemetry.bump fallbacks_counter;
     exact ()
 
@@ -68,18 +67,6 @@ let model_on ?budget_cap instance ~target =
       (Lp.Linexpr.of_terms terms)
       Lp.Model.Ge R.zero
   done;
-  (* Valid tightening bounds: some optimum has ρ_j <= ρ and therefore
-     x_q <= ⌈max_j n^j_q · ρ / r_q⌉ (see DESIGN.md). As *variable*
-     bounds they cost no tableau rows under the bounded engine. *)
-  Array.iter (fun v -> Lp.Model.tighten_upper m v (R.of_int target)) rho_vars;
-  for q = 0 to q_count - 1 do
-    let nmax = ref 0 in
-    for j = 0 to j_count - 1 do
-      nmax := max !nmax (Instance.count instance j q)
-    done;
-    let ub = ceil_div (!nmax * target) (Instance.type_throughput instance q) in
-    Lp.Model.tighten_upper m x_vars.(q) (R.of_int ub)
-  done;
   let objective =
     Lp.Linexpr.of_terms
       (Array.to_list
@@ -116,10 +103,12 @@ let decode instance solution =
   Allocation.make (Instance.problem instance) ~rho ~machines
 
 (* Whether [alloc] is usable as an initial MILP incumbent for this
-   instance and target: feasible, representable in the compact column
-   space (no throughput on pruned recipes) and inside the model's
-   tightening bounds (each ρ_j <= target; minimal machines then stay
-   under the x_q bounds whenever Σρ_j = target). *)
+   instance and target: feasible and representable in the compact
+   column space (no throughput on pruned recipes). It must also be
+   near the target: each ρ_j <= target, and the minimal machines
+   x_q <= ⌈max_j n^j_q · target / r_q⌉. A warm point far above the
+   target costs far above the optimum, so it is a weak cutoff, and the
+   H32Jump warm-up runs instead. *)
 let valid_incumbent instance ~target alloc =
   let problem = Instance.problem instance in
   let rho = alloc.Allocation.rho in

@@ -7,18 +7,18 @@
 
     The solver is the exact branch-and-bound of {!Milp.Solver} (our
     stand-in for the paper's Gurobi); [time_limit] reproduces the
-    100-second cap of the paper's Figure 8 experiment. The MILP is
-    tightened with the valid bounds [ρ_j <= ρ] and
-    [x_q <= ⌈max_j n^j_q · ρ / r_q⌉], and with objective-integrality
-    bound strengthening (all costs are integers).
+    100-second cap of the paper's Figure 8 experiment. The model is
+    exactly the paper's formulation, with no added variable bounds;
+    the search adds only objective-integrality bound strengthening
+    (all costs are integers).
 
-    {b Numeric kernels.} Solves run Fix64-first: the branch-and-bound
-    pivots on the native-int {!Numeric.Fix64} kernel and is restarted
-    transparently on exact {!Numeric.Rat} when the fast kernel raises
-    [Numeric.Kernel.Overflow]. Kernels agree bit-for-bit wherever they
+    {b Numeric engines.} Solves run fast-first: the branch-and-bound
+    pivots on the fraction-free native-int {!Lp.Simplex.Fast} and is
+    restarted transparently on exact {!Numeric.Rat} when it raises
+    [Lp.Simplex.Overflow]. The engines agree bit-for-bit wherever they
     complete, so results are identical either way; the
     [numeric.fast_solves] / [numeric.fallbacks] telemetry counters and
-    the [lp.kernel] span attribute record which kernel answered. *)
+    the [lp.kernel] span attribute record which engine answered. *)
 
 type outcome = {
   allocation : Allocation.t option;  (** best integer solution found *)
@@ -74,9 +74,10 @@ val model :
       previous-period solution) used as the initial incumbent instead
       of running the H32Jump warm-up. Silently ignored when it is
       infeasible for this target, routes throughput through a pruned
-      recipe, falls outside the model's tightening bounds, or costs
-      more than [?budget_cap] — the solve then proceeds per
-      [warm_start].
+      recipe, sits far above the target (some [ρ_j > target], or
+      minimal machines [x_q > ⌈max_j n^j_q · target / r_q⌉]: a weak
+      cutoff), or costs more than [?budget_cap] — the solve then
+      proceeds per [warm_start].
     @param cut_rounds Gomory cut rounds at the root (default 0:
       disabled — with a dense exact tableau the smaller tree does not
       repay the denser, slower node relaxations; see the

@@ -11,16 +11,14 @@
     is fast and — unlike floating-point codes — never returns a
     slightly-infeasible or slightly-suboptimal basis.
 
-    The pivoting core is functorized over a {!Numeric.Kernel}: every
-    entering/leaving decision depends only on exact signs and
-    comparisons, so all kernels walk the same pivot sequence and the
-    result is bit-identical across kernels — a range-restricted kernel
-    ({!Numeric.Fix64}) merely raises [Numeric.Kernel.Overflow] partway
-    instead of completing. The production fast path ({!Fast}) is not a
-    kernel instance but a fraction-free engine over native-int rows;
-    it makes the same pivot decisions, so its results are bit-identical
-    too. The top-level {!solve} is the exact-kernel instance and never
-    raises. *)
+    Two engines make the same pivot decisions: {!solve} pivots on
+    exact {!Numeric.Rat} and never raises; {!Fast} is a fraction-free
+    engine over native-int rows that raises {!Overflow} when its range
+    runs out. Every entering/leaving decision depends only on exact
+    signs and comparisons, so wherever {!Fast} completes its result is
+    bit-identical to {!solve}'s. Variable bounds
+    ({!Model.tighten_lower}/{!Model.tighten_upper}) become ordinary
+    rows in both. *)
 
 (** An optimal point: [objective] includes any constant term of the
     model's objective; [values] has one entry per model variable. *)
@@ -64,23 +62,18 @@ type details = {
     model has a finite optimum. *)
 val solve_detailed : Model.t -> details option
 
-(** {1 Kernel-parameterized engines}
+(** {1 The fast engine} *)
 
-    Results (including {!details}) are always delivered in exact
-    {!Numeric.Rat} regardless of the kernel computing them. *)
+(** Raised by {!Fast} (and so by [Milp.Solver.Fast]) when a value
+    leaves its native range. Never raised by {!solve}. *)
+exception Overflow
 
-module type ENGINE = sig
-  (** May raise [Numeric.Kernel.Overflow] when the kernel is
-      range-restricted; {!Exact} never does. *)
-  val solve : Model.t -> result
+(** The [lp.kernel] attribute of each engine's [lp.simplex] spans:
+    ["rat"] for {!solve}, ["ff64"] for {!Fast}. Metrics, [milp.search]
+    spans and the bench read the names from here. *)
+val exact_kernel : string
 
-  val solve_detailed : Model.t -> details option
-end
-
-module Make (K : Numeric.Kernel.S) : ENGINE
-
-(** {!Make} over {!Numeric.Kernel.Exact}; the top-level {!solve}. *)
-module Exact : ENGINE
+val fast_kernel : string
 
 (** The fraction-free fast path. Each tableau row is a native-int
     vector carrying an implicit positive scale (its entry under its
@@ -88,9 +81,10 @@ module Exact : ENGINE
     subtract per entry — no division, no gcd, no allocation on the hot
     loop. Reduced-cost signs are confirmed in exact {!Numeric.Rat}
     arithmetic, so the engine walks the same Bland pivot sequence as
-    {!Exact} and returns bit-identical results. Raises
-    [Numeric.Kernel.Overflow] when a row outgrows the native range
-    even after gcd reduction (or when an input coefficient cannot be
-    integerized within it) — callers fall back to {!Exact} (see
-    [Rentcost.Ilp]). *)
-module Fast : ENGINE
+    {!solve} and returns bit-identical results. Raises {!Overflow}
+    when a row outgrows the native range even after gcd reduction (or
+    when an input coefficient cannot be integerized within it) —
+    callers fall back to {!solve} (see [Rentcost.Ilp]). *)
+module Fast : sig
+  val solve : Model.t -> result
+end

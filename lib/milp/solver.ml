@@ -1,5 +1,5 @@
-(* Branch and bound over exact LP relaxations, functorized over the
-   numeric kernel its relaxations pivot on.
+(* Branch and bound over exact LP relaxations, on either engine of
+   Lp.Simplex.
 
    Internally everything is a minimization (a maximization problem is
    negated on the way in and back on the way out). A node carries the
@@ -9,14 +9,14 @@
    relaxation is solved.
 
    Node bookkeeping (keys, incumbents, branch bounds) stays in exact
-   Rat — the LP engines deliver Rat results whatever kernel they pivot
-   on, and per-node bookkeeping is a vanishing fraction of the LP work.
-   The kernel choice therefore only decides how relaxations are
-   computed: the Fix64 instance does the tableau arithmetic on native
-   ints and lets [Numeric.Kernel.Overflow] escape to the caller, which
-   restarts the whole solve on the exact instance (see Rentcost.Ilp).
-   Because kernels agree bit-for-bit wherever they complete, both
-   instances explore the same tree and return the same outcome. *)
+   Rat — both LP engines deliver Rat results, and per-node bookkeeping
+   is a vanishing fraction of the LP work. The engine choice therefore
+   only decides how relaxations are computed: {!Fast} does the tableau
+   arithmetic on native ints and lets [Lp.Simplex.Overflow] escape to
+   the caller, which restarts the whole solve on the exact search (see
+   Rentcost.Ilp). Because the engines agree bit-for-bit wherever they
+   complete, both searches explore the same tree and return the same
+   outcome. *)
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
@@ -48,8 +48,6 @@ type outcome = {
 type strategy = Best_bound | Depth_first
 
 type branching = Most_fractional | First_fractional
-
-type engine = Bounds | Rows
 
 type bound_dir = Upper | Lower
 
@@ -130,10 +128,9 @@ let choose_branch_var branching values groups =
       match acc with Some _ -> acc | None -> choose_in_group branching values group)
     None groups
 
-(* Branch decisions tighten variable domains rather than adding rows:
-   both LP engines honour Model variable bounds (the row engine
-   materializes them, the bounded engine handles them natively), and
-   node tableaux keep the base model's row count. *)
+(* Branch decisions tighten variable domains; the LP engines
+   materialize each one as a row, so a node at depth d solves the base
+   model plus d bound rows. *)
 let apply_extras base extra =
   let m = Lp.Model.copy base in
   List.iter
@@ -154,267 +151,245 @@ module type SEARCH = sig
     ?warm_start:R.t array ->
     ?priority:Lp.Model.var list list ->
     ?cut_rounds:int ->
-    ?engine:engine ->
     Lp.Model.t ->
     integer:Lp.Model.var list ->
     outcome
 end
 
-(* The search over a given pair of relaxation engines. {!Make} derives
-   both engines from one kernel; {!Fast} instead pairs the Fix64
-   bounded engine with the fraction-free row engine, the fastest
-   overflow-checked configuration of each. *)
-module Make_over (E : sig
-  val name : string
-  val bounds_solve : Lp.Model.t -> Lp.Simplex.result
-  val rows_solve : Lp.Model.t -> Lp.Simplex.result
-end) =
-struct
-  let span_attrs = [ ("lp.kernel", E.name) ]
+(* The search over one relaxation engine; [span_attrs] names the engine
+   on the [milp.search] span. *)
+let search ~span_attrs ~lp_solve ?time_limit ?node_limit
+    ?(integral_objective = false) ?(strategy = Best_bound)
+    ?(branching = Most_fractional) ?warm_start ?priority ?(cut_rounds = 0)
+    model ~integer =
+  let t0 = Unix.gettimeofday () in
+  let sense, obj = Lp.Model.objective model in
+  (* Normalize to minimization. *)
+  let base =
+    match sense with
+    | Lp.Model.Minimize -> model
+    | Maximize ->
+      let m = Lp.Model.copy model in
+      Lp.Model.set_objective m Lp.Model.Minimize (Lp.Linexpr.neg obj);
+      m
+  in
+  (* Tighten the root relaxation with Gomory cuts (valid globally, so
+     every node inherits them). Only applies to pure-integer models.
+     Cut generation introspects the exact engine's tableau, whichever
+     engine solves the nodes. *)
+  let base =
+    if cut_rounds <= 0 then base
+    else
+      Telemetry.Span.with_span "milp.cuts" (fun () ->
+          fst (Lp.Gomory.strengthen ~rounds:cut_rounds base ~integer))
+  in
+  let denorm_obj o =
+    match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o
+  in
+  let queue =
+    match strategy with
+    | Best_bound -> Qbest (Best_queue.create ())
+    | Depth_first -> Qdfs (Dfs_queue.create ())
+  in
+  (* Branching groups: the caller's priority classes, then a catch-all
+     group for remaining integer variables. *)
+  let groups =
+    let listed = match priority with None -> [] | Some gs -> gs in
+    let in_listed = List.concat listed in
+    let rest = List.filter (fun v -> not (List.mem v in_listed)) integer in
+    List.map (List.filter (fun v -> List.mem v integer)) listed @ [ rest ]
+  in
+  let incumbent = ref None in
+  (match warm_start with
+   | None -> ()
+   | Some values ->
+     if
+       not
+         (Lp.Model.check_feasible model values
+         && List.for_all (fun v -> R.is_integer values.(v)) integer)
+     then
+       invalid_arg "Milp.Solver.solve: warm start is not a feasible integer point";
+     let o = Lp.Linexpr.eval obj values in
+     let o = match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o in
+     Telemetry.bump incumbents_counter;
+     Telemetry.Progress.emit
+       ~incumbent:(R.to_float (denorm_obj o))
+       ~source:"milp.warm" ();
+     incumbent := Some (o, Array.copy values));
+  (* Last dual bound handed to the convergence timeline, in the
+     normalized (minimization) sense. Bound events are emitted only
+     on strict improvement, so the timeline stays monotone. *)
+  let last_bound = ref None in
+  let emit_bound k =
+    let improved =
+      match !last_bound with None -> true | Some b -> R.compare k b > 0
+    in
+    if improved then begin
+      last_bound := Some k;
+      Telemetry.Progress.emit ~bound:(R.to_float (denorm_obj k))
+        ~source:"milp" ()
+    end
+  in
+  let nodes = ref 0 in
+  let seq = ref 0 in
+  let out_of_budget () =
+    (match time_limit with
+     | Some tl -> Unix.gettimeofday () -. t0 > tl
+     | None -> false)
+    || (match node_limit with Some nl -> !nodes >= nl | None -> false)
+  in
+  let better_than_incumbent bound =
+    match !incumbent with
+    | None -> true
+    | Some (inc_obj, _) -> R.compare bound inc_obj < 0
+  in
+  let root_status = ref None in
+  queue_push queue { key = R.zero; depth = 0; seq = 0; extra = [] };
+  let interrupted = ref false in
+  let rec loop () =
+    if out_of_budget () then interrupted := true
+    else begin
+      match queue_pop queue with
+      | None -> ()
+      | Some node ->
+        let is_root = node.depth = 0 in
+        (* Prune on the inherited parent bound before paying for an LP
+           solve (never prune the root: its key is a placeholder). *)
+        if
+          (not is_root)
+          && not
+               (better_than_incumbent
+                  (strengthen ~integral:integral_objective node.key))
+        then loop ()
+        else begin
+          incr nodes;
+          Telemetry.bump nodes_counter;
+          (* Under best-bound ordering the popped key is the least
+             over all open subtrees, hence a valid global dual
+             bound. Sampled like the node spans to keep timelines
+             sparse on big trees. *)
+          (match queue with
+          | Qbest _ when (not is_root) && node_sampled !nodes ->
+            emit_bound (strengthen ~integral:integral_objective node.key)
+          | _ -> ());
+          let relax () = lp_solve (apply_extras base node.extra) in
+          let relaxation =
+            if Telemetry.enabled () && node_sampled !nodes then
+              Telemetry.Span.with_span
+                ~attrs:
+                  [ ("node", string_of_int !nodes);
+                    ("depth", string_of_int node.depth) ]
+                "milp.node" relax
+            else relax ()
+          in
+          (match relaxation with
+           | Lp.Simplex.Infeasible ->
+             if is_root then root_status := Some Infeasible
+           | Lp.Simplex.Unbounded ->
+             (* With a bounded root every child is bounded; an unbounded
+                relaxation can only be the root. *)
+             root_status := Some Unbounded;
+             interrupted := true
+           | Lp.Simplex.Optimal { objective = lp_obj; values } ->
+             let bound = strengthen ~integral:integral_objective lp_obj in
+             (* The root relaxation is a global dual bound under
+                either search strategy. *)
+             if is_root then emit_bound bound;
+             if better_than_incumbent bound then begin
+               match choose_branch_var branching values groups with
+               | None ->
+                 (* Integral relaxation: new incumbent. *)
+                 Telemetry.bump incumbents_counter;
+                 Telemetry.Progress.emit
+                   ~incumbent:(R.to_float (denorm_obj lp_obj))
+                   ~source:"milp" ();
+                 incumbent := Some (lp_obj, values)
+               | Some v ->
+                 let x = values.(v) in
+                 let mk dir b =
+                   incr seq;
+                   { key = lp_obj; depth = node.depth + 1; seq = !seq;
+                     extra = (v, dir, b) :: node.extra }
+                 in
+                 (* Push the "down" child last under DFS so it is
+                    explored first (rounding down is the natural move
+                    for covering problems). *)
+                 queue_push queue (mk Lower (R.ceil x));
+                 queue_push queue (mk Upper (R.floor x))
+             end);
+          if not !interrupted then loop ()
+        end
+    end
+  in
+  Telemetry.Span.with_span ~attrs:span_attrs "milp.search" loop;
+  Telemetry.observe solve_nodes_hist (float_of_int !nodes);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  match !root_status with
+  | Some Infeasible ->
+    { status = Infeasible; solution = None; best_bound = None; nodes = !nodes;
+      elapsed }
+  | Some Unbounded ->
+    { status = Unbounded; solution = None; best_bound = None; nodes = !nodes;
+      elapsed }
+  | _ ->
+    let solution =
+      Option.map
+        (fun (o, values) -> { objective = denorm_obj o; values })
+        !incumbent
+    in
+    if not !interrupted then begin
+      match solution with
+      | Some sol ->
+        (* Close the timeline: the proof pins the dual bound to the
+           incumbent, so both sequences end at the optimum. *)
+        Telemetry.Progress.emit
+          ~incumbent:(R.to_float sol.objective)
+          ~bound:(R.to_float sol.objective)
+          ~source:"milp.proved" ();
+        { status = Optimal; solution = Some sol; best_bound = Some sol.objective;
+          nodes = !nodes; elapsed }
+      | None ->
+        (* Exhausted the tree without an integer point. *)
+        { status = Infeasible; solution = None; best_bound = None;
+          nodes = !nodes; elapsed }
+    end
+    else begin
+      (* Limit hit: the dual bound is the least key still queued,
+         possibly improved by the incumbent. *)
+      let queued_bound =
+        queue_fold
+          (fun acc n ->
+            let k = strengthen ~integral:integral_objective n.key in
+            match acc with
+            | None -> Some k
+            | Some b -> Some (R.min b k))
+          None queue
+      in
+      let best_bound =
+        match (queued_bound, !incumbent) with
+        | Some qb, Some (io, _) -> Some (denorm_obj (R.min qb io))
+        | Some qb, None -> Some (denorm_obj qb)
+        | None, Some (io, _) -> Some (denorm_obj io)
+        | None, None -> None
+      in
+      let status = if solution = None then Unknown else Feasible in
+      { status; solution; best_bound; nodes = !nodes; elapsed }
+    end
 
-  let solve ?time_limit ?node_limit ?(integral_objective = false)
-      ?(strategy = Best_bound) ?(branching = Most_fractional) ?warm_start
-      ?priority ?(cut_rounds = 0) ?(engine = Bounds) model ~integer =
-    let t0 = Unix.gettimeofday () in
-    let lp_solve =
-      match engine with Bounds -> E.bounds_solve | Rows -> E.rows_solve
-    in
-    let sense, obj = Lp.Model.objective model in
-    (* Normalize to minimization. *)
-    let base =
-      match sense with
-      | Lp.Model.Minimize -> model
-      | Maximize ->
-        let m = Lp.Model.copy model in
-        Lp.Model.set_objective m Lp.Model.Minimize (Lp.Linexpr.neg obj);
-        m
-    in
-    (* Tighten the root relaxation with Gomory cuts (valid globally, so
-       every node inherits them). Only applies to pure-integer models.
-       Cut generation introspects the exact row engine's tableau and is
-       kernel-independent. *)
-    let base =
-      if cut_rounds <= 0 then base
-      else
-        Telemetry.Span.with_span "milp.cuts" (fun () ->
-            fst (Lp.Gomory.strengthen ~rounds:cut_rounds base ~integer))
-    in
-    let denorm_obj o =
-      match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o
-    in
-    let queue =
-      match strategy with
-      | Best_bound -> Qbest (Best_queue.create ())
-      | Depth_first -> Qdfs (Dfs_queue.create ())
-    in
-    (* Branching groups: the caller's priority classes, then a catch-all
-       group for remaining integer variables. *)
-    let groups =
-      let listed = match priority with None -> [] | Some gs -> gs in
-      let in_listed = List.concat listed in
-      let rest = List.filter (fun v -> not (List.mem v in_listed)) integer in
-      List.map (List.filter (fun v -> List.mem v integer)) listed @ [ rest ]
-    in
-    let incumbent = ref None in
-    (match warm_start with
-     | None -> ()
-     | Some values ->
-       if
-         not
-           (Lp.Model.check_feasible model values
-           && List.for_all (fun v -> R.is_integer values.(v)) integer)
-       then
-         invalid_arg "Milp.Solver.solve: warm start is not a feasible integer point";
-       let o = Lp.Linexpr.eval obj values in
-       let o = match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o in
-       Telemetry.bump incumbents_counter;
-       Telemetry.Progress.emit
-         ~incumbent:(R.to_float (denorm_obj o))
-         ~source:"milp.warm" ();
-       incumbent := Some (o, Array.copy values));
-    (* Last dual bound handed to the convergence timeline, in the
-       normalized (minimization) sense. Bound events are emitted only
-       on strict improvement, so the timeline stays monotone. *)
-    let last_bound = ref None in
-    let emit_bound k =
-      let improved =
-        match !last_bound with None -> true | Some b -> R.compare k b > 0
-      in
-      if improved then begin
-        last_bound := Some k;
-        Telemetry.Progress.emit ~bound:(R.to_float (denorm_obj k))
-          ~source:"milp" ()
-      end
-    in
-    let nodes = ref 0 in
-    let seq = ref 0 in
-    let out_of_budget () =
-      (match time_limit with
-       | Some tl -> Unix.gettimeofday () -. t0 > tl
-       | None -> false)
-      || (match node_limit with Some nl -> !nodes >= nl | None -> false)
-    in
-    let better_than_incumbent bound =
-      match !incumbent with
-      | None -> true
-      | Some (inc_obj, _) -> R.compare bound inc_obj < 0
-    in
-    let root_status = ref None in
-    queue_push queue { key = R.zero; depth = 0; seq = 0; extra = [] };
-    let interrupted = ref false in
-    let rec loop () =
-      if out_of_budget () then interrupted := true
-      else begin
-        match queue_pop queue with
-        | None -> ()
-        | Some node ->
-          let is_root = node.depth = 0 in
-          (* Prune on the inherited parent bound before paying for an LP
-             solve (never prune the root: its key is a placeholder). *)
-          if
-            (not is_root)
-            && not
-                 (better_than_incumbent
-                    (strengthen ~integral:integral_objective node.key))
-          then loop ()
-          else begin
-            incr nodes;
-            Telemetry.bump nodes_counter;
-            (* Under best-bound ordering the popped key is the least
-               over all open subtrees, hence a valid global dual
-               bound. Sampled like the node spans to keep timelines
-               sparse on big trees. *)
-            (match queue with
-            | Qbest _ when (not is_root) && node_sampled !nodes ->
-              emit_bound (strengthen ~integral:integral_objective node.key)
-            | _ -> ());
-            let relax () = lp_solve (apply_extras base node.extra) in
-            let relaxation =
-              if Telemetry.enabled () && node_sampled !nodes then
-                Telemetry.Span.with_span
-                  ~attrs:
-                    [ ("node", string_of_int !nodes);
-                      ("depth", string_of_int node.depth) ]
-                  "milp.node" relax
-              else relax ()
-            in
-            (match relaxation with
-             | Lp.Simplex.Infeasible ->
-               if is_root then root_status := Some Infeasible
-             | Lp.Simplex.Unbounded ->
-               (* With a bounded root every child is bounded; an unbounded
-                  relaxation can only be the root. *)
-               root_status := Some Unbounded;
-               interrupted := true
-             | Lp.Simplex.Optimal { objective = lp_obj; values } ->
-               let bound = strengthen ~integral:integral_objective lp_obj in
-               (* The root relaxation is a global dual bound under
-                  either search strategy. *)
-               if is_root then emit_bound bound;
-               if better_than_incumbent bound then begin
-                 match choose_branch_var branching values groups with
-                 | None ->
-                   (* Integral relaxation: new incumbent. *)
-                   Telemetry.bump incumbents_counter;
-                   Telemetry.Progress.emit
-                     ~incumbent:(R.to_float (denorm_obj lp_obj))
-                     ~source:"milp" ();
-                   incumbent := Some (lp_obj, values)
-                 | Some v ->
-                   let x = values.(v) in
-                   let mk dir b =
-                     incr seq;
-                     { key = lp_obj; depth = node.depth + 1; seq = !seq;
-                       extra = (v, dir, b) :: node.extra }
-                   in
-                   (* Push the "down" child last under DFS so it is
-                      explored first (rounding down is the natural move
-                      for covering problems). *)
-                   queue_push queue (mk Lower (R.ceil x));
-                   queue_push queue (mk Upper (R.floor x))
-               end);
-            if not !interrupted then loop ()
-          end
-      end
-    in
-    Telemetry.Span.with_span ~attrs:span_attrs "milp.search" loop;
-    Telemetry.observe solve_nodes_hist (float_of_int !nodes);
-    let elapsed = Unix.gettimeofday () -. t0 in
-    match !root_status with
-    | Some Infeasible ->
-      { status = Infeasible; solution = None; best_bound = None; nodes = !nodes;
-        elapsed }
-    | Some Unbounded ->
-      { status = Unbounded; solution = None; best_bound = None; nodes = !nodes;
-        elapsed }
-    | _ ->
-      let solution =
-        Option.map
-          (fun (o, values) -> { objective = denorm_obj o; values })
-          !incumbent
-      in
-      if not !interrupted then begin
-        match solution with
-        | Some sol ->
-          (* Close the timeline: the proof pins the dual bound to the
-             incumbent, so both sequences end at the optimum. *)
-          Telemetry.Progress.emit
-            ~incumbent:(R.to_float sol.objective)
-            ~bound:(R.to_float sol.objective)
-            ~source:"milp.proved" ();
-          { status = Optimal; solution = Some sol; best_bound = Some sol.objective;
-            nodes = !nodes; elapsed }
-        | None ->
-          (* Exhausted the tree without an integer point. *)
-          { status = Infeasible; solution = None; best_bound = None;
-            nodes = !nodes; elapsed }
-      end
-      else begin
-        (* Limit hit: the dual bound is the least key still queued,
-           possibly improved by the incumbent. *)
-        let queued_bound =
-          queue_fold
-            (fun acc n ->
-              let k = strengthen ~integral:integral_objective n.key in
-              match acc with
-              | None -> Some k
-              | Some b -> Some (R.min b k))
-            None queue
-        in
-        let best_bound =
-          match (queued_bound, !incumbent) with
-          | Some qb, Some (io, _) -> Some (denorm_obj (R.min qb io))
-          | Some qb, None -> Some (denorm_obj qb)
-          | None, Some (io, _) -> Some (denorm_obj io)
-          | None, None -> None
-        in
-        let status = if solution = None then Unknown else Feasible in
-        { status; solution; best_bound; nodes = !nodes; elapsed }
-      end
+let solve =
+  search
+    ~span_attrs:[ ("lp.kernel", Lp.Simplex.exact_kernel) ]
+    ~lp_solve:Lp.Simplex.solve
+
+(* Node relaxations run the fraction-free integer engine, which raises
+   [Lp.Simplex.Overflow] out of [solve] for the caller to restart on
+   the exact search. *)
+module Fast = struct
+  let solve =
+    search
+      ~span_attrs:[ ("lp.kernel", Lp.Simplex.fast_kernel) ]
+      ~lp_solve:Lp.Simplex.Fast.solve
 end
-
-module Make (K : Numeric.Kernel.S) = Make_over (struct
-  module Lp_bounded = Lp.Bounded.Make (K)
-  module Lp_simplex = Lp.Simplex.Make (K)
-
-  let name = K.name
-  let bounds_solve = Lp_bounded.solve
-  let rows_solve = Lp_simplex.solve
-end)
-
-module Exact = Make (Numeric.Kernel.Exact)
-
-(* Node relaxations under [Bounds] pivot on the Fix64 kernel; under
-   [Rows] they run the fraction-free integer engine. Both raise
-   [Numeric.Kernel.Overflow] out of [solve] for the caller to restart
-   on {!Exact}. *)
-module Fast = Make_over (struct
-  let name = "fix64"
-  let bounds_solve = Lp.Bounded.Fast.solve
-  let rows_solve = Lp.Simplex.Fast.solve
-end)
-
-let solve = Exact.solve
 
 let gap outcome =
   match (outcome.solution, outcome.best_bound) with

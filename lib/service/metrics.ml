@@ -88,8 +88,8 @@ let json ?stats () =
   let numeric =
     Json.Obj
       [
-        ("fast_kernel", Json.String Numeric.Fix64.name);
-        ("exact_kernel", Json.String Numeric.Kernel.Exact.name);
+        ("fast_kernel", Json.String Lp.Simplex.fast_kernel);
+        ("exact_kernel", Json.String Lp.Simplex.exact_kernel);
         ("fast_solves", Json.Int (Telemetry.value Telemetry.numeric_fast_solves));
         ("fallbacks", Json.Int (Telemetry.value Telemetry.numeric_fallbacks));
       ]

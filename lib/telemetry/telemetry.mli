@@ -330,18 +330,18 @@ val escape_help : string -> string
     The names used by this project's instrumented layers, collected
     here so observers do not scatter string literals. *)
 
-(** Simplex pivots, across both the row-based and bounded-variable
-    engines ({!Lp.Simplex}, {!Lp.Bounded}). *)
+(** Simplex pivots, across both engines of {!Lp.Simplex}: the exact
+    one and the fraction-free fast one. *)
 val lp_pivots : string
 
-(** Solves completed on the overflow-checked fast numeric kernel
-    ({!Numeric.Fix64}) by the Fix64-first driver in [Rentcost.Ilp]. *)
+(** Solves completed on the fraction-free fast simplex
+    ([Lp.Simplex.Fast]) by the fast-first driver in [Rentcost.Ilp]. *)
 val numeric_fast_solves : string
 
-(** Solves restarted on the exact {!Numeric.Rat} kernel after the fast
-    kernel raised [Numeric.Kernel.Overflow]. Zero on the default
-    paper-scale workload; a growing value means instances exceed the
-    fast path's range. *)
+(** Solves restarted on the exact {!Numeric.Rat} simplex after the
+    fast one raised [Lp.Simplex.Overflow]. Zero on the paper-scale
+    workloads; a growing value means instances exceed the fast path's
+    range. *)
 val numeric_fallbacks : string
 
 (** Branch-and-bound nodes evaluated by {!Milp.Solver}. *)

@@ -51,16 +51,9 @@ let test_build_structure () =
   (* 3 rho vars + 4 x vars *)
   Alcotest.(check int) "vars" 7 (Lp.Model.num_vars model);
   Alcotest.(check int) "integer vars" 7 (List.length integer);
-  (* 1 throughput + 4 capacity; the tightening bounds are variable
-     bounds, not rows *)
+  (* 1 throughput + 4 capacity, and nothing else: the paper's model *)
   Alcotest.(check int) "constraints" 5 (Lp.Model.num_constraints model);
-  Alcotest.(check bool) "variable bounds set" true (Lp.Model.has_var_bounds model);
-  (* rho upper bounds equal the target *)
-  (match Lp.Model.bounds model 0 with
-   | lo, Some up ->
-     Alcotest.(check string) "rho lower" "0" (Numeric.Rat.to_string lo);
-     Alcotest.(check string) "rho upper" "70" (Numeric.Rat.to_string up)
-   | _ -> Alcotest.fail "rho should have an upper bound");
+  Alcotest.(check bool) "no variable bounds" false (Lp.Model.has_var_bounds model);
   Alcotest.(check string) "rho name" "rho_0" (Lp.Model.var_name model 0);
   Alcotest.(check string) "x name" "x_0" (Lp.Model.var_name model 3)
 

@@ -347,3 +347,199 @@ let suite =
       Alcotest.test_case "solve_detailed tableau" `Quick
         test_solve_detailed_exposes_tableau ]
     @ props )
+
+(* --- variable bounds (Model.tighten_lower/tighten_upper) ---
+
+   Both engines materialize variable bounds as rows; every case runs
+   against the exact engine and the fast one. *)
+
+let engines = [ ("exact", S.solve); ("fast", S.Fast.solve) ]
+
+let on_engines f () = List.iter (fun (name, solve) -> f name solve) engines
+
+let bounded_opt name solve m =
+  match solve m with
+  | S.Optimal sol -> sol
+  | S.Infeasible -> Alcotest.fail (name ^ ": unexpected infeasible")
+  | S.Unbounded -> Alcotest.fail (name ^ ": unexpected unbounded")
+
+let expect_infeasible name solve m =
+  match solve m with
+  | S.Infeasible -> ()
+  | _ -> Alcotest.fail (name ^ ": expected infeasible")
+
+let test_plain_lp_matches_simplex name solve =
+  (* No variable bounds at all. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.add_constraint m (expr [ (x, 1); (y, 2) ]) M.Ge (ri 4);
+  M.add_constraint m (expr [ (x, 3); (y, 1) ]) M.Ge (ri 6);
+  M.set_objective m M.Minimize (expr [ (x, 1); (y, 1) ]);
+  check_rat (name ^ ": objective 14/5") (r 14 5)
+    (bounded_opt name solve m).S.objective
+
+let test_upper_bound_binds name solve =
+  (* max x with x <= 7 as a variable bound: the optimum sits at the
+     bound. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" in
+  M.tighten_upper m x (ri 7);
+  M.set_objective m M.Maximize (expr [ (x, 1) ]);
+  let sol = bounded_opt name solve m in
+  check_rat (name ^ ": x = 7") (ri 7) sol.S.values.(x);
+  check_rat (name ^ ": objective") (ri 7) sol.S.objective
+
+let test_lower_bound_shifts name solve =
+  (* min x + y, x >= 3 (variable bound), x + y >= 5. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.tighten_lower m x (ri 3);
+  M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Ge (ri 5);
+  M.set_objective m M.Minimize (expr [ (x, 1); (y, 1) ]);
+  let sol = bounded_opt name solve m in
+  check_rat (name ^ ": objective 5") (ri 5) sol.S.objective;
+  Alcotest.(check bool) (name ^ ": x at least 3") true
+    (R.compare sol.S.values.(x) (ri 3) >= 0)
+
+let test_crossing_bounds_infeasible name solve =
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" in
+  M.tighten_lower m x (ri 5);
+  M.tighten_upper m x (ri 3);
+  M.set_objective m M.Minimize (expr [ (x, 1) ]);
+  expect_infeasible name solve m
+
+let test_fixed_variable name solve =
+  (* x fixed at 4 by equal bounds; min y with y >= 10 - x. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.tighten_lower m x (ri 4);
+  M.tighten_upper m x (ri 4);
+  M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Ge (ri 10);
+  M.set_objective m M.Minimize (expr [ (y, 1) ]);
+  let sol = bounded_opt name solve m in
+  check_rat (name ^ ": x pinned") (ri 4) sol.S.values.(x);
+  check_rat (name ^ ": y") (ri 6) sol.S.values.(y)
+
+let test_bounds_with_infeasible_rows name solve =
+  (* Bounds satisfiable but rows not. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" in
+  M.tighten_upper m x (ri 2);
+  M.add_constraint m (expr [ (x, 1) ]) M.Ge (ri 5);
+  M.set_objective m M.Minimize (expr [ (x, 1) ]);
+  expect_infeasible name solve m
+
+let test_unbounded_then_capped name solve =
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" in
+  M.set_objective m M.Maximize (expr [ (x, 1) ]);
+  (match solve m with
+   | S.Unbounded -> ()
+   | _ -> Alcotest.fail (name ^ ": expected unbounded"));
+  (* The same objective with an upper bound is bounded. *)
+  M.tighten_upper m x (ri 9);
+  check_rat (name ^ ": capped") (ri 9) (bounded_opt name solve m).S.objective
+
+let test_eq_rows name solve =
+  (* An equality row next to a bound row. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.tighten_upper m x (ri 4);
+  M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Eq (ri 6);
+  M.set_objective m M.Minimize (expr [ (y, 1) ]);
+  let sol = bounded_opt name solve m in
+  check_rat (name ^ ": x at its cap") (ri 4) sol.S.values.(x);
+  check_rat (name ^ ": y fills the rest") (ri 2) sol.S.values.(y);
+  (* Equality with negative rhs needs the row negation path. *)
+  let m2 = M.create () in
+  let a = M.add_var m2 ~name:"a" and b = M.add_var m2 ~name:"b" in
+  M.add_constraint m2 (expr [ (a, 1); (b, -1) ]) M.Eq (ri (-3));
+  M.set_objective m2 M.Minimize (expr [ (a, 1); (b, 1) ]);
+  check_rat (name ^ ": a=0, b=3") (ri 3) (bounded_opt name solve m2).S.objective
+
+let test_negative_rhs_rows name solve =
+  (* A negative-rhs row turns into a Ge row with a phase-1 artificial. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.add_constraint m (expr [ (x, 1); (y, -1) ]) M.Le (ri (-2));
+  M.tighten_upper m y (ri 10);
+  M.set_objective m M.Maximize (expr [ (x, 1) ]);
+  (* y <= 10 and y >= x + 2 force x <= 8. *)
+  check_rat (name ^ ": objective 8") (ri 8) (bounded_opt name solve m).S.objective
+
+(* Random models with lower and upper variable bounds, mixed row
+   senses, negative coefficients, either objective sense. *)
+let bounded_gen =
+  QCheck2.Gen.(
+    pair
+      (pair (int_range 1 4) (int_range 0 4))
+      (pair
+         (pair (list_size (return 16) (int_range (-4) 4))
+            (list_size (return 4) (int_range (-8) 8)))
+         (pair
+            (pair (list_size (return 4) (int_range 0 6))
+               (list_size (return 4) (option (int_range 0 9))))
+            (pair (list_size (return 4) (int_range 0 2)) bool))))
+
+let build_bounded
+    ((nvars, nrows), ((coeffs, rhs), ((lowers, uppers), (senses, maximize)))) =
+  let coeffs = Array.of_list coeffs and rhs = Array.of_list rhs in
+  let lowers = Array.of_list lowers and uppers = Array.of_list uppers in
+  let senses = Array.of_list senses in
+  let m = M.create () in
+  let vars = Array.init nvars (fun i -> M.add_var m ~name:(Printf.sprintf "x%d" i)) in
+  Array.iteri
+    (fun i v ->
+      M.tighten_lower m v (ri lowers.(i mod 4));
+      match uppers.(i mod 4) with
+      | Some u -> M.tighten_upper m v (ri u)
+      | None -> ())
+    vars;
+  for row = 0 to nrows - 1 do
+    let terms =
+      Array.to_list
+        (Array.mapi (fun i v -> (v, ri coeffs.(((row * nvars) + i) mod 16))) vars)
+    in
+    let cmp = match senses.(row mod 4) with 0 -> M.Ge | 1 -> M.Le | _ -> M.Eq in
+    M.add_constraint m (L.of_terms terms) cmp (ri rhs.(row mod 4))
+  done;
+  M.set_objective m
+    (if maximize then M.Maximize else M.Minimize)
+    (L.of_terms (Array.to_list (Array.mapi (fun i v -> (v, ri coeffs.(i mod 16))) vars)));
+  m
+
+let bounded_prop name f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name bounded_gen f)
+
+let bounds_props =
+  [ bounded_prop "fast engine agrees with exact on bounded models" (fun input ->
+        let m = build_bounded input in
+        match (S.Fast.solve m, S.solve m) with
+        | S.Optimal a, S.Optimal b ->
+          R.equal a.S.objective b.S.objective
+          && Array.for_all2 R.equal a.S.values b.S.values
+        | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
+        | _ -> false);
+    bounded_prop "bounded solutions are feasible including bounds" (fun input ->
+        let m = build_bounded input in
+        List.for_all
+          (fun (_, solve) ->
+            match solve m with
+            | S.Optimal sol -> M.check_feasible m sol.S.values
+            | S.Infeasible | S.Unbounded -> true)
+          engines) ]
+
+let bounds_suite =
+  let case name f = Alcotest.test_case name `Quick (on_engines f) in
+  ( "bounded",
+    [ case "plain LP matches simplex" test_plain_lp_matches_simplex;
+      case "upper bound binds (flip)" test_upper_bound_binds;
+      case "lower bound shifts" test_lower_bound_shifts;
+      case "crossing bounds infeasible" test_crossing_bounds_infeasible;
+      case "fixed variable" test_fixed_variable;
+      case "bounds with infeasible rows" test_bounds_with_infeasible_rows;
+      case "unbounded then capped" test_unbounded_then_capped;
+      case "equality rows" test_eq_rows;
+      case "negative rhs rows (phase 1)" test_negative_rhs_rows ]
+    @ bounds_props )

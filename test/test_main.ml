@@ -10,7 +10,7 @@ let () =
       Test_lp.suite;
       Test_simplex_oracle.suite;
       Test_lp_format.suite;
-      Test_bounded.suite;
+      Test_lp.bounds_suite;
       Test_milp.suite;
       Test_knapsack.suite;
       Test_model.suite;

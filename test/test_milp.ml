@@ -302,15 +302,20 @@ let props =
         | Some sa, Some sb -> R.equal sa.Solver.objective sb.Solver.objective
         | None, None -> a.Solver.status = b.Solver.status
         | _ -> false);
+    (* The fast and the exact search walk the same tree: same status,
+       node count, objective and point. *)
     prop "engines agree on the optimum" cover_mip_gen (fun input ->
-        let m1, iv1, _, _, _ = build_cover_mip input in
-        let m2, iv2, _, _, _ = build_cover_mip input in
-        let a = Solver.solve ~engine:Solver.Bounds m1 ~integer:iv1 in
-        let b = Solver.solve ~engine:Solver.Rows m2 ~integer:iv2 in
-        (match (a.Solver.solution, b.Solver.solution) with
-         | Some sa, Some sb -> R.equal sa.Solver.objective sb.Solver.objective
-         | None, None -> a.Solver.status = b.Solver.status
-         | _ -> false));
+        let m, integer, _, _, _ = build_cover_mip input in
+        let a = Solver.Fast.solve m ~integer and b = solve m ~integer in
+        a.Solver.status = b.Solver.status
+        && a.Solver.nodes = b.Solver.nodes
+        &&
+        match (a.Solver.solution, b.Solver.solution) with
+        | Some sa, Some sb ->
+          R.equal sa.Solver.objective sb.Solver.objective
+          && Array.for_all2 R.equal sa.Solver.values sb.Solver.values
+        | None, None -> true
+        | _ -> false);
     prop "branching rules agree on the optimum" cover_mip_gen (fun input ->
         let m1, iv1, _, _, _ = build_cover_mip input in
         let m2, iv2, _, _, _ = build_cover_mip input in

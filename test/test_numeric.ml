@@ -1,16 +1,12 @@
-(* Differential battery for the numeric kernels: Fix64 must agree with
-   the exact Rat kernel operation-by-operation and solve-by-solve
-   wherever it completes, and must raise [Kernel.Overflow] exactly
-   where the exact result leaves the small range — never return a
-   wrong value. Directed tests probe the overflow boundary
-   (max-denominator pivots, costs at and far beyond the range bound)
-   and the Fix64-first/Rat-fallback driver in [Rentcost.Ilp]. *)
+(* Differential battery for the two simplex engines: the fraction-free
+   [Lp.Simplex.Fast] must agree bit-for-bit with the exact Rat engine
+   wherever it completes, and must raise [Lp.Simplex.Overflow] — never
+   return a wrong value — where its native range runs out. Directed
+   tests probe the range boundary (coefficients, denominators and
+   pivots at and beyond it) and the fast-first/Rat-fallback driver in
+   [Rentcost.Ilp]. *)
 
-module B = Numeric.Bigint
 module R = Numeric.Rat
-module K = Numeric.Kernel
-module E = Numeric.Kernel.Exact
-module F = Numeric.Fix64
 module L = Lp.Linexpr
 module M = Lp.Model
 module S = Lp.Simplex
@@ -18,138 +14,52 @@ module S = Lp.Simplex
 let rat = R.of_ints
 let check_rat msg a b = Alcotest.(check string) msg (R.to_string a) (R.to_string b)
 
-(* Whether an exact rational lies inside Fix64's representable range —
-   the overflow contract: Fix64 completes iff this holds. *)
-let fits r =
-  match (B.to_int (R.num r), B.to_int (R.den r)) with
-  | Some n, Some d -> abs n < F.bound && d < F.bound
-  | _ -> false
-
-let sign_of c = Stdlib.compare c 0
-
-(* --- directed: constants, identities, rounding --- *)
-
-let test_kernel_names () =
-  Alcotest.(check string) "exact kernel" "rat" E.name;
-  Alcotest.(check string) "fast kernel" "fix64" F.name
-
-let test_constants_round_trip () =
-  check_rat "zero" R.zero (F.to_rat F.zero);
-  check_rat "one" R.one (F.to_rat F.one);
-  check_rat "minus one" (R.of_int (-1)) (F.to_rat F.minus_one);
-  check_rat "of_int" (R.of_int 42) (F.to_rat (F.of_int 42));
-  check_rat "of_ints reduces" (rat 2 3) (F.to_rat (F.of_ints 4 6));
-  check_rat "negative den" (rat (-2) 3) (F.to_rat (F.of_ints 2 (-3)))
-
-let test_rounding_matches_exact () =
-  List.iter
-    (fun (n, d) ->
-      let r = rat n d in
-      let f = F.of_rat r in
-      check_rat (Printf.sprintf "floor %d/%d" n d) (E.floor r) (F.to_rat (F.floor f));
-      check_rat (Printf.sprintf "ceil %d/%d" n d) (E.ceil r) (F.to_rat (F.ceil f));
-      check_rat (Printf.sprintf "frac %d/%d" n d) (E.frac r) (F.to_rat (F.frac f));
-      Alcotest.(check bool)
-        (Printf.sprintf "is_integer %d/%d" n d)
-        (E.is_integer r) (F.is_integer f))
-    [ (7, 2); (-7, 2); (5, 1); (-5, 1); (0, 3); (1, 3); (-1, 3) ]
-
-(* --- directed: the overflow boundary --- *)
-
-let test_injection_boundary () =
-  ignore (F.of_int (F.bound - 1));
-  ignore (F.of_int (1 - F.bound));
-  ignore (F.of_ints 1 (F.bound - 1));
-  Alcotest.check_raises "of_int at bound" K.Overflow (fun () ->
-      ignore (F.of_int F.bound));
-  Alcotest.check_raises "of_int at -bound" K.Overflow (fun () ->
-      ignore (F.of_int (-F.bound)));
-  Alcotest.check_raises "denominator at bound" K.Overflow (fun () ->
-      ignore (F.of_ints 1 F.bound));
-  Alcotest.check_raises "of_rat out of range" K.Overflow (fun () ->
-      ignore (F.of_rat (R.of_int F.bound)))
-
-let test_arithmetic_boundary () =
-  (* One below the bound is fine; crossing it raises. *)
-  check_rat "add inside range"
-    (R.of_int (F.bound - 1))
-    (F.to_rat (F.add (F.of_int (F.bound - 2)) F.one));
-  Alcotest.check_raises "add crosses the bound" K.Overflow (fun () ->
-      ignore (F.add (F.of_int (F.bound - 1)) F.one));
-  Alcotest.check_raises "mul overflows the denominator" K.Overflow (fun () ->
-      ignore (F.mul (F.of_ints 1 (F.bound - 1)) (F.of_ints 1 2)));
-  Alcotest.check_raises "div builds a max denominator" K.Overflow (fun () ->
-      ignore (F.div (F.of_ints 1 (F.bound - 1)) (F.of_int (F.bound - 1))));
-  (* Reduction can bring an out-of-range quotient back in range. *)
-  check_rat "gcd saves the result" R.one
-    (F.to_rat (F.div (F.of_ints 1 (F.bound - 1)) (F.of_ints 1 (F.bound - 1))))
-
-(* --- qcheck: operation-level differential --- *)
-
-(* Inputs span the full small range, so cross products overflow often:
-   both branches of the contract get exercised. *)
-let rat_pair_gen =
-  QCheck2.Gen.(
-    let num = int_range (-2_000_000) 2_000_000 in
-    let den = int_range 1 2_000_000 in
-    pair (pair num den) (pair num den))
+(* The fast engine's exclusive bound on integerized tableau entries. *)
+let bound = 1 lsl 30
 
 let prop ?(count = 500) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
-(* Fix64 either returns the exact kernel's value or raises Overflow,
-   and it raises exactly when that value is out of range. *)
-let agree2 fop eop a b =
-  match fop (F.of_rat a) (F.of_rat b) with
-  | f ->
-    let e = eop a b in
-    fits e && R.equal (F.to_rat f) e
-  | exception K.Overflow -> not (fits (eop a b))
+let test_kernel_names () =
+  Alcotest.(check string) "exact engine" "rat" S.exact_kernel;
+  Alcotest.(check string) "fast engine" "ff64" S.fast_kernel
 
-let agree1 fop eop a =
-  match fop (F.of_rat a) with
-  | f ->
-    let e = eop a in
-    fits e && R.equal (F.to_rat f) e
-  | exception K.Overflow -> not (fits (eop a))
+(* [min x] subject to one row [coeff * x >= rhs]. *)
+let one_row coeff rhs =
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" in
+  M.add_constraint m (L.of_terms [ (x, coeff) ]) M.Ge rhs;
+  M.set_objective m M.Minimize (L.of_terms [ (x, R.one) ]);
+  m
 
-let op_props =
-  [ prop "add/sub/mul/div agree with exact or overflow" rat_pair_gen
-      (fun ((n1, d1), (n2, d2)) ->
-        let a = rat n1 d1 and b = rat n2 d2 in
-        agree2 F.add E.add a b && agree2 F.sub E.sub a b
-        && agree2 F.mul E.mul a b
-        && (R.is_zero b || agree2 F.div E.div a b));
-    prop "min/max/neg/abs/inv agree with exact" rat_pair_gen
-      (fun ((n1, d1), (n2, d2)) ->
-        let a = rat n1 d1 and b = rat n2 d2 in
-        agree2 F.min E.min a b && agree2 F.max E.max a b
-        && agree1 F.neg E.neg a && agree1 F.abs E.abs a
-        && (R.is_zero a || agree1 F.inv E.inv a));
-    prop "rounding agrees with exact" rat_pair_gen
-      (fun ((n1, d1), _) ->
-        let a = rat n1 d1 in
-        agree1 F.floor E.floor a && agree1 F.ceil E.ceil a
-        && agree1 F.frac E.frac a);
-    prop "queries and order agree with exact" rat_pair_gen
-      (fun ((n1, d1), (n2, d2)) ->
-        let a = rat n1 d1 and b = rat n2 d2 in
-        let fa = F.of_rat a and fb = F.of_rat b in
-        sign_of (F.compare fa fb) = sign_of (E.compare a b)
-        && F.equal fa fb = E.equal a b
-        && F.sign fa = E.sign a
-        && F.is_zero fa = E.is_zero a
-        && F.is_integer fa = E.is_integer a
-        && F.to_string fa = E.to_string a)
-  ]
+let fast_objective m =
+  match S.Fast.solve m with
+  | S.Optimal sol -> sol.S.objective
+  | _ -> Alcotest.fail "fast engine must solve the model"
+
+(* Inputs one below the bound integerize and solve; at the bound the
+   fast engine raises before any pivot. The exact engine solves
+   both. *)
+let test_injection_boundary () =
+  check_rat "rhs just inside" (R.of_int (bound - 1))
+    (fast_objective (one_row R.one (R.of_int (bound - 1))));
+  check_rat "denominator just inside" (R.of_int (bound - 1))
+    (fast_objective (one_row (rat 1 (bound - 1)) R.one));
+  Alcotest.check_raises "rhs at the bound" S.Overflow (fun () ->
+      ignore (S.Fast.solve (one_row R.one (R.of_int bound))));
+  Alcotest.check_raises "denominator at the bound" S.Overflow (fun () ->
+      ignore (S.Fast.solve (one_row (rat 1 bound) R.one)));
+  match S.solve (one_row (rat 1 bound) R.one) with
+  | S.Optimal sol -> check_rat "exact engine" (R.of_int bound) sol.S.objective
+  | _ -> Alcotest.fail "exact engine must solve the model"
 
 (* --- qcheck: solver-level differential --- *)
 
 let ri = R.of_int
 
-(* Random always-feasible bounded covering LPs (the generator of
-   test_lp, plus variable upper bounds so the bounded engine has
-   structure to exploit). *)
+(* Random always-feasible covering LPs (the generator of test_lp),
+   optionally with variable upper bounds, which both engines turn into
+   rows. *)
 let covering_gen =
   QCheck2.Gen.(
     let small = int_range 1 9 in
@@ -191,49 +101,43 @@ let solver_props =
         let m = build_covering input in
         match S.Fast.solve m with
         | fast -> result_equal fast (S.solve m)
-        | exception K.Overflow -> true (* exercised by directed tests *));
+        | exception S.Overflow -> true (* exercised by directed tests *));
     prop ~count:200 "Fast bounded simplex is bit-identical to exact"
       covering_gen
       (fun input ->
         let m = build_covering ~bounded:true input in
-        match Lp.Bounded.Fast.solve m with
-        | fast -> result_equal fast (Lp.Bounded.solve m)
-        | exception K.Overflow -> true)
+        match S.Fast.solve m with
+        | fast -> result_equal fast (S.solve m)
+        | exception S.Overflow -> true)
   ]
 
 (* --- directed: overflow inside a solve, and the fallback driver --- *)
 
-(* A cost at the range bound overflows Fix64 on injection, before any
-   pivot; the exact engine is untroubled. *)
+(* A cost at the range bound overflows the fast engine on injection,
+   before any pivot; the exact engine is untroubled. *)
 let test_simplex_overflow_on_injection () =
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
   M.add_constraint m (L.of_terms [ (x, R.one) ]) M.Ge R.one;
-  M.set_objective m M.Minimize (L.of_terms [ (x, R.of_int F.bound) ]);
-  Alcotest.check_raises "Fast overflows at the bound" K.Overflow (fun () ->
+  M.set_objective m M.Minimize (L.of_terms [ (x, R.of_int bound) ]);
+  Alcotest.check_raises "Fast overflows at the bound" S.Overflow (fun () ->
       ignore (S.Fast.solve m));
   match S.solve m with
-  | S.Optimal sol -> check_rat "exact optimum" (R.of_int F.bound) sol.S.objective
+  | S.Optimal sol -> check_rat "exact optimum" (R.of_int bound) sol.S.objective
   | _ -> Alcotest.fail "exact engine must solve the model"
 
-(* Max-denominator pivots: every input coefficient fits comfortably,
-   but under the Fix64 kernel pivoting multiplies by the huge
-   reciprocals and the objective sum (bound-1) + (bound-3) crosses the
-   range bound mid-solve. The fraction-free engine keeps each row
-   integer at its own scale, so the same model sails through on the
-   production fast path — bit-identical to exact. *)
-module KF = S.Make (F)
-
+(* Max-denominator pivots: every input coefficient fits, while the
+   objective sum (bound-1) + (bound-3) lies beyond the range bound. The
+   fraction-free engine keeps each row integer at its own scale, so the
+   model still solves on the fast path — bit-identical to exact. *)
 let test_simplex_overflow_on_pivot () =
-  let p1 = F.bound - 1 and p2 = F.bound - 3 in
+  let p1 = bound - 1 and p2 = bound - 3 in
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
   let y = M.add_var m ~name:"y" in
   M.add_constraint m (L.of_terms [ (x, rat 1 p1) ]) M.Ge R.one;
   M.add_constraint m (L.of_terms [ (y, rat 1 p2) ]) M.Ge R.one;
   M.set_objective m M.Minimize (L.of_terms [ (x, R.one); (y, R.one) ]);
-  Alcotest.check_raises "Fix64 kernel overflows mid-pivot" K.Overflow
-    (fun () -> ignore (KF.solve m));
   (match S.Fast.solve m with
    | S.Optimal sol ->
      check_rat "fraction-free optimum" (R.of_int (p1 + p2)) sol.S.objective
@@ -248,7 +152,7 @@ let test_simplex_overflow_on_pivot () =
    while integerizing the row — before any pivot — and the driver's
    exact restart is what saves such models. *)
 let test_simplex_overflow_on_row_lcm () =
-  let p1 = F.bound - 1 and p2 = F.bound - 3 in
+  let p1 = bound - 1 and p2 = bound - 3 in
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
   let y = M.add_var m ~name:"y" in
@@ -256,7 +160,7 @@ let test_simplex_overflow_on_row_lcm () =
     (L.of_terms [ (x, rat 1 p1); (y, rat 1 p2) ])
     M.Ge R.one;
   M.set_objective m M.Minimize (L.of_terms [ (x, R.one); (y, R.one) ]);
-  Alcotest.check_raises "Fast overflows on the row lcm" K.Overflow
+  Alcotest.check_raises "Fast overflows on the row lcm" S.Overflow
     (fun () -> ignore (S.Fast.solve m));
   match S.solve m with
   | S.Optimal sol ->
@@ -281,7 +185,7 @@ let test_driver_fast_path () =
   Alcotest.(check int) "no fallback" fb0
     (Telemetry.value Telemetry.numeric_fallbacks)
 
-(* Near-max-int costs (far beyond the fast range): the Fix64 attempt
+(* Near-max-int costs (far beyond the fast range): the fast attempt
    overflows, the driver restarts on Rat, and the answer still matches
    the exhaustive oracle exactly. *)
 let test_driver_falls_back_on_huge_costs () =
@@ -308,11 +212,7 @@ let test_driver_falls_back_on_huge_costs () =
 let suite =
   ( "numeric-kernel",
     [ Alcotest.test_case "kernel names" `Quick test_kernel_names;
-      Alcotest.test_case "constants round-trip" `Quick test_constants_round_trip;
-      Alcotest.test_case "rounding matches exact" `Quick
-        test_rounding_matches_exact;
       Alcotest.test_case "injection boundary" `Quick test_injection_boundary;
-      Alcotest.test_case "arithmetic boundary" `Quick test_arithmetic_boundary;
       Alcotest.test_case "simplex overflow on injection" `Quick
         test_simplex_overflow_on_injection;
       Alcotest.test_case "simplex overflow on pivot" `Quick
@@ -322,4 +222,4 @@ let suite =
       Alcotest.test_case "driver fast path" `Quick test_driver_fast_path;
       Alcotest.test_case "driver falls back on huge costs" `Quick
         test_driver_falls_back_on_huge_costs ]
-    @ op_props @ solver_props )
+    @ solver_props )
