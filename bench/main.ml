@@ -23,9 +23,10 @@
    records the dual (max-throughput) objective checked against an
    independent scan of the min-cost curve, and single-cloud vs 3-book
    multi-cloud cost on the fig7 workload. BENCH_numeric.json records
-   the fast engine's speedup over exact Rat on the LP/MILP hot path
-   and the exact-fallback rate on the paper and overflow-stress
-   workloads. BENCH_autoscale.json records the elastic controller's
+   the fast engine's speedup over exact Rat on the LP/MILP hot path,
+   the exact-fallback rate on the paper and overflow-stress workloads,
+   and the node-LP work (pivots and us per node) of each paper-scale
+   MILP. BENCH_autoscale.json records the elastic controller's
    total rental cost against the static-peak and clairvoyant-oracle
    policies on a seeded diurnal trace. BENCH_load.json records the
    serving layer's sustained closed-loop throughput and latency
@@ -1200,22 +1201,72 @@ let preset_config id ~config =
   G.problem ~rng:!r preset.Cloudsim.Experiments.graphs
     preset.Cloudsim.Experiments.cloud
 
-(* The paper-scale workload: the § VII illustrating MILPs, the fig6
-   (configuration 0) and fig7 (configuration 1) MILPs at two sweep
-   targets each, and two LP relaxations. The acceptance bar is zero
-   fallbacks here; the fig6/fig7 MILPs are what lets that bar fail, so
-   the workload must never shrink back to the small instances. *)
+(* One MILP of the paper-scale workload, solved fast-first through
+   [Ilp.optimize]: its cost, tree and node-LP work, read as counter
+   deltas. *)
+type paper_milp = {
+  pm_label : string;
+  pm_optimum : int;  (* pinned: Table III and the presets' seed-2016 draws *)
+  pm_cost : int;
+  pm_nodes : int;
+  pm_pivots : int;
+  pm_us : float;  (* wall time of the solve, best of [reps] *)
+  pm_warm_solves : int;
+  pm_warm_fallbacks : int;
+}
+
+(* The paper-scale MILPs: the § VII illustrating instance, and the fig6
+   (configuration 0) and fig7 (configuration 1) draws at two sweep
+   targets each, with their pinned optima. The fig6/fig7 MILPs are what
+   lets the fallback and pivot bars fail, so the list must never shrink
+   back to the small instances. *)
+let paper_milps =
+  lazy
+    ([ ("illustrating_rho70", illustrating, 70, 124);
+       ("illustrating_rho130", illustrating, 130, 220) ]
+    @ List.concat_map
+        (fun (id, config, optima) ->
+          let problem = preset_config id ~config in
+          List.map2
+            (fun target optimum ->
+              (Printf.sprintf "%s_c%d_rho%d" id config target, problem, target, optimum))
+            [ 50; 150 ] optima)
+        [ ("fig6", 0, [ 468; 1237 ]); ("fig7", 1, [ 3375; 9808 ]) ])
+
+let solve_paper_milp ~reps (label, problem, target, optimum) =
+  let value = Telemetry.value in
+  let p0 = value Telemetry.lp_pivots
+  and w0 = value Telemetry.lp_warm_solves
+  and f0 = value Telemetry.lp_warm_fallbacks in
+  let o = Rentcost.Ilp.optimize ~problem ~target () in
+  let pivots = value Telemetry.lp_pivots - p0
+  and warm = value Telemetry.lp_warm_solves - w0
+  and fallbacks = value Telemetry.lp_warm_fallbacks - f0 in
+  let us =
+    1e6
+    *. best_of_seconds ~reps ~inner:1 (fun () -> Rentcost.Ilp.optimize ~problem ~target ())
+  in
+  { pm_label = label; pm_optimum = optimum;
+    pm_cost = (match o.Rentcost.Ilp.allocation with Some a -> a.Rentcost.Allocation.cost | None -> -1);
+    pm_nodes = o.Rentcost.Ilp.nodes; pm_pivots = pivots; pm_us = us; pm_warm_solves = warm;
+    pm_warm_fallbacks = fallbacks }
+
+let pm_pivots_per_node ms =
+  let sum f = List.fold_left (fun a m -> a + f m) 0 ms in
+  float_of_int (sum (fun m -> m.pm_pivots)) /. float_of_int (max 1 (sum (fun m -> m.pm_nodes)))
+
+(* Pivots per node over [paper_milps] at the commit before node LPs
+   were warm-started (every node solved cold, two-phase). Pivot counts
+   are deterministic, so the bar below is exact, not a timing. *)
+let cold_node_pivots_per_node = 25.807
+
+(* The paper-scale workload: the MILPs above (each solved once here,
+   fast-first, before the per-MILP timings) and two LP relaxations. The
+   acceptance bar is zero fallbacks here. *)
 let paper_workload () =
   List.iter
-    (fun target -> ignore (Rentcost.Ilp.optimize ~problem:illustrating ~target ()))
-    [ 70; 130 ];
-  List.iter
-    (fun (id, config) ->
-      let problem = preset_config id ~config in
-      List.iter
-        (fun target -> ignore (Rentcost.Ilp.optimize ~problem ~target ()))
-        [ 50; 150 ])
-    [ ("fig6", 0); ("fig7", 1) ];
+    (fun (_, problem, target, _) -> ignore (Rentcost.Ilp.optimize ~problem ~target ()))
+    (Lazy.force paper_milps);
   ignore (Rentcost.Ilp.lp_lower_bound (problem_of small_instance) ~target:100);
   ignore (Rentcost.Ilp.lp_lower_bound (problem_of large_instance) ~target:100)
 
@@ -1234,7 +1285,7 @@ let stress_workload () =
       ignore (Rentcost.Ilp.optimize ~problem:overflow_problem ~target ()))
     [ 10; 20; 30 ]
 
-let write_numeric_json ~path ~splits ~paper ~stress =
+let write_numeric_json ~path ~splits ~paper ~stress ~milps =
   let oc = open_out path in
   let split_json k =
     Printf.sprintf
@@ -1243,12 +1294,28 @@ let write_numeric_json ~path ~splits ~paper ~stress =
       (json_escape k.ks_label) k.ks_rat_us k.ks_fast_us (ks_speedup k)
       k.ks_identical
   in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-numeric/3\",\n";
+  let milp_json m =
+    Printf.sprintf
+      "    {\"name\": \"%s\", \"cost\": %d, \"optimum\": %d, \"nodes\": %d, \
+       \"pivots\": %d, \"pivots_per_node\": %.2f, \"us\": %.1f, \"us_per_node\": %.2f, \
+       \"warm_solves\": %d, \"warm_fallbacks\": %d}"
+      (json_escape m.pm_label) m.pm_cost m.pm_optimum m.pm_nodes m.pm_pivots
+      (float_of_int m.pm_pivots /. float_of_int (max 1 m.pm_nodes))
+      m.pm_us
+      (m.pm_us /. float_of_int (max 1 m.pm_nodes))
+      m.pm_warm_solves m.pm_warm_fallbacks
+  in
+  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-numeric/4\",\n";
   Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
   Printf.fprintf oc "  \"kernels\": {\"fast\": \"%s\", \"exact\": \"%s\"},\n"
     Lp.Simplex.fast_kernel Lp.Simplex.exact_kernel;
   Printf.fprintf oc "  \"timings\": [\n%s\n  ],\n"
     (String.concat ",\n" (List.map split_json splits));
+  Printf.fprintf oc "  \"paper_milps\": [\n%s\n  ],\n"
+    (String.concat ",\n" (List.map milp_json milps));
+  Printf.fprintf oc
+    "  \"pivots_per_node\": {\"workload\": %.3f, \"cold_nodes\": %.3f},\n"
+    (pm_pivots_per_node milps) cold_node_pivots_per_node;
   Printf.fprintf oc
     "  \"fallback\": {\"paper_solves\": %d, \"paper_fallbacks\": %d, \
      \"stress_solves\": %d, \"stress_fallbacks\": %d, \
@@ -1268,14 +1335,16 @@ let emit_numeric_json ~reps =
   in
   let paper = count_fallbacks paper_workload in
   let stress = count_fallbacks stress_workload in
-  write_numeric_json ~path:"BENCH_numeric.json" ~splits ~paper ~stress;
+  let milps = List.map (solve_paper_milp ~reps) (Lazy.force paper_milps) in
+  write_numeric_json ~path:"BENCH_numeric.json" ~splits ~paper ~stress ~milps;
   let lp = List.nth splits 0 in
   Printf.printf
     "BENCH_numeric.json written (lp.simplex %.1f us rat vs %.1f us fast, \
-     %.1fx; paper workload %d solves / %d fallbacks, stress %d / %d)\n"
+     %.1fx; paper workload %d solves / %d fallbacks, stress %d / %d; \
+     %.2f pivots per node)\n"
     lp.ks_rat_us lp.ks_fast_us (ks_speedup lp) paper.fb_solves
-    paper.fb_fallbacks stress.fb_solves stress.fb_fallbacks;
-  (splits, paper, stress)
+    paper.fb_fallbacks stress.fb_solves stress.fb_fallbacks (pm_pivots_per_node milps);
+  (splits, paper, stress, milps)
 
 (* --- BENCH_autoscale.json: elastic vs static-peak vs oracle --- *)
 
@@ -1716,7 +1785,7 @@ let smoke () =
      complete with zero exact fallbacks (while the overflow stress
      workload must fall back every time — the restart protocol
      demonstrably fires, it is not dead code). *)
-  let splits, paper, stress = emit_numeric_json ~reps:5 in
+  let splits, paper, stress, milps = emit_numeric_json ~reps:5 in
   List.iter
     (fun k -> check (k.ks_label ^ " bit-identical across engines") k.ks_identical)
     splits;
@@ -1748,6 +1817,25 @@ let smoke () =
     (ks_speedup mr >= 2.0);
   check "paper workload exercised the driver" (paper.fb_solves > 0);
   check "zero fallbacks on the paper-scale workload" (paper.fb_fallbacks = 0);
+  (* Node LPs are warm-started: every workload MILP must still reach
+     its pinned optimum, with no warm start falling back cold, and the
+     deterministic pivot count per node must be at most half what
+     cold-solving every node took. *)
+  List.iter
+    (fun m ->
+      check
+        (Printf.sprintf
+           "%s reaches the pinned optimum %d (got %d), %d warm solves, %d fallbacks"
+           m.pm_label m.pm_optimum m.pm_cost m.pm_warm_solves m.pm_warm_fallbacks)
+        (m.pm_cost = m.pm_optimum && m.pm_warm_fallbacks = 0 && m.pm_warm_solves > 0))
+    milps;
+  let ppn = pm_pivots_per_node milps in
+  check
+    (Printf.sprintf
+       "pivots per node on the paper-scale MILPs at most half the cold-node %.2f \
+        (measured %.2f)"
+       cold_node_pivots_per_node ppn)
+    (ppn <= cold_node_pivots_per_node /. 2.);
   check "overflow stress workload falls back on every solve"
     (stress.fb_solves > 0 && stress.fb_fallbacks = stress.fb_solves);
   (* Autoscale: on the pinned diurnal trace the elastic controller must

@@ -48,6 +48,7 @@ type t = {
   mutable next_tick : int;
   mutable alloc : Allocation.t option;
   mutable target : int;  (** target [alloc] was solved for *)
+  mutable provisioned : int;  (** throughput [alloc]'s machines sustain *)
   mutable replans : int;
   mutable holds : int;
   mutable violations : int;
@@ -87,6 +88,7 @@ let create_on ?(config = default_config) instance =
     next_tick = 0;
     alloc = None;
     target = 0;
+    provisioned = 0;
     replans = 0;
     holds = 0;
     violations = 0;
@@ -94,8 +96,41 @@ let create_on ?(config = default_config) instance =
 
 let create ?config problem = create_on ?config (Instance.compile problem)
 
-let provisioned t =
-  match t.alloc with Some a -> Allocation.total_rho a | None -> 0
+(* The throughput a fleet sustains is the integer maximum of Σ_j ρ_j
+   subject to Σ_j n^j_q ρ_j <= x_q r_q for its machines x — not the
+   Σρ of the split the solver returned, since equal-cost optima with
+   the same machines can carry different splits. A tiny exact MILP
+   over the compiled recipes. *)
+let provisioned instance (a : Allocation.t) =
+  let m = Lp.Model.create () in
+  (* Variable [j] is recipe [j]'s throughput. *)
+  let rho =
+    List.init (Instance.num_recipes instance) (fun j ->
+        Lp.Model.add_var m ~name:(Printf.sprintf "rho_%d" j))
+  in
+  for q = 0 to Instance.num_types instance - 1 do
+    let uses =
+      List.filter_map
+        (fun j ->
+          match Instance.count instance j q with
+          | 0 -> None
+          | n -> Some (j, Numeric.Rat.of_int n))
+        rho
+    in
+    if uses <> [] then
+      Lp.Model.add_constraint m (Lp.Linexpr.of_terms uses) Lp.Model.Le
+        (Numeric.Rat.of_int (a.Allocation.machines.(q) * Instance.type_throughput instance q))
+  done;
+  Lp.Model.set_objective m Lp.Model.Maximize
+    (Lp.Linexpr.of_terms (List.map (fun j -> (j, Numeric.Rat.one)) rho));
+  let solve (module S : Milp.Solver.SEARCH) = S.solve ~integral_objective:true m ~integer:rho in
+  let o =
+    try solve (module Milp.Solver.Fast) with Lp.Simplex.Overflow -> solve (module Milp.Solver)
+  in
+  match (o.Milp.Solver.status, o.Milp.Solver.solution) with
+  | Milp.Solver.Unbounded, _ -> max_int
+  | _, Some s -> Numeric.Bigint.to_int_exn (Numeric.Rat.num s.Milp.Solver.objective)
+  | _, None -> 0
 
 let resolve t ~demand =
   let target =
@@ -112,7 +147,8 @@ let resolve t ~demand =
   match outcome.Solver.allocation with
   | Some a ->
     t.alloc <- Some a;
-    t.target <- target
+    t.target <- target;
+    t.provisioned <- provisioned t.instance a
   | None ->
     (* Unreachable for target >= 0: renting enough machines is always
        feasible and the solver degrades to the H1 closed form. *)
@@ -123,7 +159,7 @@ let tick t ~demand =
   let tick = t.next_tick in
   t.next_tick <- tick + 1;
   Telemetry.bump c_ticks;
-  let violation = demand > provisioned t in
+  let violation = demand > t.provisioned in
   if violation then begin
     t.violations <- t.violations + 1;
     Telemetry.bump c_violations

@@ -5,7 +5,8 @@
     target its current fleet was solved for and applies the deadband
     decision rule:
 
-    - demand above the provisioned throughput → the SLO is already
+    - demand above the provisioned throughput (what the rented
+      machines sustain, see {!provisioned}) → the SLO is already
       violated; re-solve immediately (reactive upscale);
     - demand below [(1 − deadband) × target] → the fleet is paying for
       throughput nobody wants; re-solve at the lower target;
@@ -79,6 +80,14 @@ val create : ?config:config -> Rentcost.Problem.t -> t
     @raise Invalid_argument on a bad [config] field or a
     max-throughput instance. *)
 val create_on : ?config:config -> Rentcost.Instance.t -> t
+
+(** [provisioned instance a] is the throughput [a]'s machines sustain:
+    the integer maximum of [Σ_j ρ_j] subject to
+    [Σ_j n^j_q ρ_j <= x_q r_q] over [instance]'s recipes, whatever split
+    [a.rho] carries. The controller computes it once per re-solve and
+    compares demand against it, so equal-cost optima that rent the same
+    machines make the same decisions. *)
+val provisioned : Rentcost.Instance.t -> Rentcost.Allocation.t -> int
 
 (** [tick t ~demand] feeds the next observation and returns the plan.
     @raise Invalid_argument on negative demand. *)

@@ -8,27 +8,44 @@ type cmp = Le | Ge | Eq
 
 type constr = { expr : Linexpr.t; cmp : cmp; rhs : R.t; cname : string }
 
+module Imap = Map.Make (Int)
+
 type t = {
   mutable nvars : int;
   mutable names_rev : string list;
   mutable constrs_rev : constr list;
+  mutable constrs : constr list option;  (* [constrs_rev] in order, once asked *)
   mutable nconstrs : int;
   mutable sense : sense;
   mutable obj : Linexpr.t;
-  (* variable domains, sparse: only tightened variables appear *)
-  lowers : (var, R.t) Hashtbl.t;
-  uppers : (var, R.t) Hashtbl.t;
+  (* variable domains, sparse: only tightened variables appear. The
+     maps are persistent, so a copy shares them until it tightens. *)
+  mutable lowers : R.t Imap.t;
+  mutable uppers : R.t Imap.t;
+  mutable nbounds : int;  (* bindings in [lowers] and [uppers] *)
 }
 
 let create () =
-  { nvars = 0; names_rev = []; constrs_rev = []; nconstrs = 0;
+  { nvars = 0; names_rev = []; constrs_rev = []; constrs = None; nconstrs = 0;
     sense = Minimize; obj = Linexpr.zero;
-    lowers = Hashtbl.create 8; uppers = Hashtbl.create 8 }
+    lowers = Imap.empty; uppers = Imap.empty; nbounds = 0 }
 
+let constraints t =
+  match t.constrs with
+  | Some l -> l
+  | None ->
+    let l = List.rev t.constrs_rev in
+    t.constrs <- Some l;
+    l
+
+(* The copy shares the ordered constraint list, so every copy of a
+   model returns the same physical list until one adds a row. *)
 let copy t =
+  ignore (constraints t);
   { nvars = t.nvars; names_rev = t.names_rev; constrs_rev = t.constrs_rev;
+    constrs = t.constrs;
     nconstrs = t.nconstrs; sense = t.sense; obj = t.obj;
-    lowers = Hashtbl.copy t.lowers; uppers = Hashtbl.copy t.uppers }
+    lowers = t.lowers; uppers = t.uppers; nbounds = t.nbounds }
 
 let add_var t ~name =
   let v = t.nvars in
@@ -50,6 +67,7 @@ let add_constraint t ?(name = "") expr cmp rhs =
    | v when v >= t.nvars -> invalid_arg "Model.add_constraint: unknown variable"
    | _ -> ());
   t.constrs_rev <- { expr; cmp; rhs; cname = name } :: t.constrs_rev;
+  t.constrs <- None;
   t.nconstrs <- t.nconstrs + 1
 
 let add_upper_bound t v ub = add_constraint t (Linexpr.var v) Le ub
@@ -61,23 +79,31 @@ let check_var t v name =
 let tighten_lower t v lb =
   check_var t v "Model.tighten_lower";
   if R.sign lb > 0 then begin
-    match Hashtbl.find_opt t.lowers v with
+    match Imap.find_opt v t.lowers with
     | Some cur when R.compare cur lb >= 0 -> ()
-    | _ -> Hashtbl.replace t.lowers v lb
+    | cur ->
+      if Option.is_none cur then t.nbounds <- t.nbounds + 1;
+      t.lowers <- Imap.add v lb t.lowers
   end
 
 let tighten_upper t v ub =
   check_var t v "Model.tighten_upper";
-  match Hashtbl.find_opt t.uppers v with
+  match Imap.find_opt v t.uppers with
   | Some cur when R.compare cur ub <= 0 -> ()
-  | _ -> Hashtbl.replace t.uppers v ub
+  | cur ->
+    if Option.is_none cur then t.nbounds <- t.nbounds + 1;
+    t.uppers <- Imap.add v ub t.uppers
 
 let bounds t v =
   check_var t v "Model.bounds";
-  ( Option.value (Hashtbl.find_opt t.lowers v) ~default:R.zero,
-    Hashtbl.find_opt t.uppers v )
+  ( Option.value (Imap.find_opt v t.lowers) ~default:R.zero,
+    Imap.find_opt v t.uppers )
 
-let has_var_bounds t = Hashtbl.length t.lowers > 0 || Hashtbl.length t.uppers > 0
+let num_bounds t = t.nbounds
+let lower_bounds t = Imap.bindings t.lowers
+let upper_bounds t = Imap.bindings t.uppers
+
+let has_var_bounds t = not (Imap.is_empty t.lowers && Imap.is_empty t.uppers)
 
 let set_objective t sense expr =
   (match Linexpr.max_var expr with
@@ -87,20 +113,13 @@ let set_objective t sense expr =
   t.obj <- expr
 
 let objective t = (t.sense, t.obj)
-let constraints t = List.rev t.constrs_rev
 let num_constraints t = t.nconstrs
 
 let check_feasible t values =
   Array.length values = t.nvars
   && Array.for_all (fun v -> R.sign v >= 0) values
-  && (let ok = ref true in
-      Hashtbl.iter
-        (fun v lb -> if R.compare values.(v) lb < 0 then ok := false)
-        t.lowers;
-      Hashtbl.iter
-        (fun v ub -> if R.compare values.(v) ub > 0 then ok := false)
-        t.uppers;
-      !ok)
+  && Imap.for_all (fun v lb -> R.compare values.(v) lb >= 0) t.lowers
+  && Imap.for_all (fun v ub -> R.compare values.(v) ub <= 0) t.uppers
   && List.for_all
        (fun { expr; cmp; rhs; _ } ->
          let lhs = Linexpr.eval expr values in

@@ -66,6 +66,14 @@ val tighten_upper : t -> var -> Numeric.Rat.t -> unit
     unbounded above. The lower bound is at least zero. *)
 val bounds : t -> var -> Numeric.Rat.t * Numeric.Rat.t option
 
+(** The number of tightened lower and upper bounds. *)
+val num_bounds : t -> int
+
+(** The tightened lower (upper) bounds, by increasing variable. *)
+val lower_bounds : t -> (var * Numeric.Rat.t) list
+
+val upper_bounds : t -> (var * Numeric.Rat.t) list
+
 (** [has_var_bounds t] is true when any variable has a tightened
     domain. *)
 val has_var_bounds : t -> bool
@@ -76,7 +84,9 @@ val set_objective : t -> sense -> Linexpr.t -> unit
 
 val objective : t -> sense * Linexpr.t
 
-(** Constraints in insertion order. *)
+(** Constraints in insertion order. The list is computed once and then
+    shared by the model and its {!copy}s (physically the same list)
+    until a constraint is added. *)
 val constraints : t -> constr list
 
 val num_constraints : t -> int

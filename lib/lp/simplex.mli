@@ -1,4 +1,4 @@
-(** Exact two-phase primal simplex.
+(** Exact dense-tableau simplex.
 
     Solves a {!Model.t} in exact rational arithmetic using the dense
     tableau method with Bland's anti-cycling rule, so termination is
@@ -18,7 +18,13 @@
     signs and comparisons, so wherever {!Fast} completes its result is
     bit-identical to {!solve}'s. Variable bounds
     ({!Model.tighten_lower}/{!Model.tighten_upper}) become ordinary
-    rows in both. *)
+    rows in both.
+
+    A cold solve runs two-phase primal simplex. A warm solve
+    ({!solve_from} with [Warm]) re-solves a model whose parent differs
+    from it by one tightened variable bound, by dual simplex from the
+    parent's optimal basis; this is how branch and bound solves every
+    node below the root. *)
 
 (** An optimal point: [objective] includes any constant term of the
     model's objective; [values] has one entry per model variable. *)
@@ -29,12 +35,53 @@ type result =
   | Infeasible  (** no point satisfies the constraints *)
   | Unbounded  (** the objective can be improved without limit *)
 
-(** [solve model] optimizes the model exactly. *)
+(** [solve model] optimizes the model exactly (a cold solve). *)
 val solve : Model.t -> result
 
-(** Number of pivots performed by the last [solve] call on this domain
-    (statistics for benchmarking; not part of the solver contract). *)
-val last_pivot_count : unit -> int
+(** {1 Warm starts} *)
+
+type side = Lower | Upper
+
+(** A basic column, named so that it means the same thing in a model
+    and in its children: the model's variable [v], the slack of model
+    constraint [k] (in {!Model.constraints} order), the slack of
+    variable [v]'s lower or upper bound row, or a phase-1 artificial. *)
+type column =
+  | Var of int
+  | Row_slack of int
+  | Bound_slack of int * side
+  | Artificial
+
+(** An optimal basis, as returned by {!solve_from}: one basic column
+    per row of its model, plus the search's root tableau. *)
+type basis
+
+(** The basic columns, in tableau row order. *)
+val columns : basis -> column array
+
+(** [Warm (parent, v, side)]: the model is the parent model (whose
+    optimal basis is [parent]) with variable [v]'s [side] bound added
+    or tightened, and nothing else changed. *)
+type start = Cold | Warm of basis * Model.var * side
+
+(** [solve_from start model] is {!solve} plus the final basis (when
+    the result is [Optimal]). A [Cold] start is the two-phase solve; its
+    basis also carries the root tableau that warm starts below it copy.
+    A [Warm] start copies that tableau (or starts from the slack basis),
+    pivots the parent basis in, makes the new bound's slack basic and
+    runs dual simplex: leaving row by the smallest basic column among
+    negative right-hand sides, entering column by the exact least ratio
+    [d_j / |a_rj|] over [a_rj < 0] with ties to the smallest column. It
+    falls back to the cold solve when [model] is not the parent's model
+    with that one bound added or tightened (it checks the constraint
+    list, the bound and the number of bounds; the objective and the
+    other bounds must be the parent's), when the parent left an
+    [Artificial] basic, when the basis is singular, or after more than
+    a fixed multiple of the row count of dual pivots. [lp.warm_solves]
+    and [lp.warm_fallbacks] count the two outcomes. Both are exact, so
+    the result equals a cold solve's up to the choice among tied
+    optima. *)
+val solve_from : start -> Model.t -> result * basis option
 
 (** {1 Tableau introspection}
 
@@ -84,7 +131,11 @@ val fast_kernel : string
     {!solve} and returns bit-identical results. Raises {!Overflow}
     when a row outgrows the native range even after gcd reduction (or
     when an input coefficient cannot be integerized within it) —
-    callers fall back to {!solve} (see [Rentcost.Ilp]). *)
+    callers fall back to {!solve} (see [Rentcost.Ilp]). Its
+    {!solve_from} walks the same pivots as the exact one, warm starts
+    and fallbacks included. *)
 module Fast : sig
   val solve : Model.t -> result
+
+  val solve_from : start -> Model.t -> result * basis option
 end

@@ -3,10 +3,16 @@
 
    Internally everything is a minimization (a maximization problem is
    negated on the way in and back on the way out). A node carries the
-   extra variable bounds accumulated along its branch plus the parent
-   relaxation objective, which is a valid dual bound used both for node
+   extra variable bounds accumulated along its branch, the parent
+   relaxation objective — a valid dual bound used both for node
    ordering (best-bound strategy) and for pruning before the node's own
-   relaxation is solved.
+   relaxation is solved — and how to start its relaxation. The root is
+   solved cold (two-phase primal simplex). Every other node differs
+   from its parent by one bound, so it is re-solved warm: dual simplex
+   from the parent's optimal basis (Lp.Simplex.solve_from). A node
+   keeps only its parent's basis — the basic column of each row and the
+   list of bound rows, which both children share — never a tableau, so
+   an open node costs a word per row, not a row per row.
 
    Node bookkeeping (keys, incumbents, branch bounds) stays in exact
    Rat — both LP engines deliver Rat results, and per-node bookkeeping
@@ -15,11 +21,10 @@
    arithmetic on native ints and lets [Lp.Simplex.Overflow] escape to
    the caller, which restarts the whole solve on the exact search (see
    Rentcost.Ilp). Because the engines agree bit-for-bit wherever they
-   complete, both searches explore the same tree and return the same
-   outcome. *)
+   complete, final bases included, both searches explore the same tree
+   and return the same outcome. *)
 
 module R = Numeric.Rat
-module B = Numeric.Bigint
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
@@ -49,13 +54,13 @@ type strategy = Best_bound | Depth_first
 
 type branching = Most_fractional | First_fractional
 
-type bound_dir = Upper | Lower
-
 type node = {
   key : R.t;  (* parent relaxation objective: a valid lower bound *)
+  bound : R.t;  (* [key] strengthened, what pruning compares *)
   depth : int;
   seq : int;  (* creation order, for deterministic tie-breaking *)
-  extra : (Lp.Model.var * bound_dir * B.t) list;
+  extra : (Lp.Model.var * Lp.Simplex.side * R.t) list;
+  start : Lp.Simplex.start;  (* [Cold] at the root, else the parent basis *)
 }
 
 module Best_queue = Pqueue.Make (struct
@@ -100,7 +105,7 @@ let half = R.of_ints 1 2
 (* Strengthen a dual bound to the next integer when the objective is
    known to be integral on feasible integer points. *)
 let strengthen ~integral bound =
-  if integral then R.of_bigint (R.ceil bound) else bound
+  if integral then R.add bound (R.frac (R.neg bound)) else bound
 
 let choose_in_group branching values group =
   let best = ref None in
@@ -136,8 +141,8 @@ let apply_extras base extra =
   List.iter
     (fun (v, dir, b) ->
       match dir with
-      | Upper -> Lp.Model.tighten_upper m v (R.of_bigint b)
-      | Lower -> Lp.Model.tighten_lower m v (R.of_bigint b))
+      | Lp.Simplex.Upper -> Lp.Model.tighten_upper m v b
+      | Lower -> Lp.Model.tighten_lower m v b)
     extra;
   m
 
@@ -244,7 +249,8 @@ let search ~span_attrs ~lp_solve ?time_limit ?node_limit
     | Some (inc_obj, _) -> R.compare bound inc_obj < 0
   in
   let root_status = ref None in
-  queue_push queue { key = R.zero; depth = 0; seq = 0; extra = [] };
+  queue_push queue
+    { key = R.zero; bound = R.zero; depth = 0; seq = 0; extra = []; start = Lp.Simplex.Cold };
   let interrupted = ref false in
   let rec loop () =
     if out_of_budget () then interrupted := true
@@ -257,9 +263,7 @@ let search ~span_attrs ~lp_solve ?time_limit ?node_limit
            solve (never prune the root: its key is a placeholder). *)
         if
           (not is_root)
-          && not
-               (better_than_incumbent
-                  (strengthen ~integral:integral_objective node.key))
+          && not (better_than_incumbent node.bound)
         then loop ()
         else begin
           incr nodes;
@@ -270,9 +274,9 @@ let search ~span_attrs ~lp_solve ?time_limit ?node_limit
              sparse on big trees. *)
           (match queue with
           | Qbest _ when (not is_root) && node_sampled !nodes ->
-            emit_bound (strengthen ~integral:integral_objective node.key)
+            emit_bound node.bound
           | _ -> ());
-          let relax () = lp_solve (apply_extras base node.extra) in
+          let relax () = lp_solve node.start (apply_extras base node.extra) in
           let relaxation =
             if Telemetry.enabled () && node_sampled !nodes then
               Telemetry.Span.with_span
@@ -283,14 +287,14 @@ let search ~span_attrs ~lp_solve ?time_limit ?node_limit
             else relax ()
           in
           (match relaxation with
-           | Lp.Simplex.Infeasible ->
+           | Lp.Simplex.Infeasible, _ ->
              if is_root then root_status := Some Infeasible
-           | Lp.Simplex.Unbounded ->
+           | Lp.Simplex.Unbounded, _ ->
              (* With a bounded root every child is bounded; an unbounded
                 relaxation can only be the root. *)
              root_status := Some Unbounded;
              interrupted := true
-           | Lp.Simplex.Optimal { objective = lp_obj; values } ->
+           | Lp.Simplex.Optimal { objective = lp_obj; values }, basis ->
              let bound = strengthen ~integral:integral_objective lp_obj in
              (* The root relaxation is a global dual bound under
                 either search strategy. *)
@@ -308,14 +312,16 @@ let search ~span_attrs ~lp_solve ?time_limit ?node_limit
                  let x = values.(v) in
                  let mk dir b =
                    incr seq;
-                   { key = lp_obj; depth = node.depth + 1; seq = !seq;
-                     extra = (v, dir, b) :: node.extra }
+                   { key = lp_obj; bound; depth = node.depth + 1; seq = !seq;
+                     extra = (v, dir, b) :: node.extra;
+                     start = Lp.Simplex.Warm (Option.get basis, v, dir) }
                  in
                  (* Push the "down" child last under DFS so it is
                     explored first (rounding down is the natural move
                     for covering problems). *)
-                 queue_push queue (mk Lower (R.ceil x));
-                 queue_push queue (mk Upper (R.floor x))
+                 let down = R.sub x (R.frac x) in
+                 queue_push queue (mk Lp.Simplex.Lower (R.add down R.one));
+                 queue_push queue (mk Lp.Simplex.Upper down)
              end);
           if not !interrupted then loop ()
         end
@@ -359,7 +365,7 @@ let search ~span_attrs ~lp_solve ?time_limit ?node_limit
       let queued_bound =
         queue_fold
           (fun acc n ->
-            let k = strengthen ~integral:integral_objective n.key in
+            let k = n.bound in
             match acc with
             | None -> Some k
             | Some b -> Some (R.min b k))
@@ -379,7 +385,7 @@ let search ~span_attrs ~lp_solve ?time_limit ?node_limit
 let solve =
   search
     ~span_attrs:[ ("lp.kernel", Lp.Simplex.exact_kernel) ]
-    ~lp_solve:Lp.Simplex.solve
+    ~lp_solve:Lp.Simplex.solve_from
 
 (* Node relaxations run the fraction-free integer engine, which raises
    [Lp.Simplex.Overflow] out of [solve] for the caller to restart on
@@ -388,7 +394,7 @@ module Fast = struct
   let solve =
     search
       ~span_attrs:[ ("lp.kernel", Lp.Simplex.fast_kernel) ]
-      ~lp_solve:Lp.Simplex.Fast.solve
+      ~lp_solve:Lp.Simplex.Fast.solve_from
 end
 
 let gap outcome =

@@ -63,7 +63,8 @@ let of_ints n d = if d = 0 then raise Division_by_zero else make_small n d
 
 let num = function S (n, _) -> Bi.of_int n | B (n, _) -> n
 let den = function S (_, d) -> Bi.of_int d | B (_, d) -> d
-let to_small = function S (n, d) -> Some (n, d) | B _ -> None
+let small_den = function S (_, d) -> d | B _ -> 0
+let small_num = function S (n, _) -> n | B _ -> 0
 
 let sign = function S (n, _) -> compare n 0 | B (n, _) -> Bi.sign n
 let is_zero = function S (0, _) -> true | S _ -> false | B (n, _) -> Bi.is_zero n
@@ -172,7 +173,9 @@ let ceil = function
   | S (n, d) -> Bi.of_int (-fdiv_int (-n) d)
   | B (n, d) -> Bi.cdiv n d
 
-let frac t = sub t (of_bigint (floor t))
+let frac = function
+  | S (n, d) -> S (n - (d * fdiv_int n d), d)
+  | t -> sub t (of_bigint (floor t))
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

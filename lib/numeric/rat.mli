@@ -41,12 +41,16 @@ val num : t -> Bigint.t
 (** Canonical denominator, always positive. *)
 val den : t -> Bigint.t
 
-(** [to_small t] is [Some (n, d)] when [t = n/d] lives in the native
-    small representation (|n| < 2{^30}, 0 < d < 2{^30}, coprime), and
-    [None] when the value has promoted to Bigint. The fraction-free
-    fast simplex ([Lp.Simplex.Fast]) uses it to integerize model
-    coefficients without a Bigint round trip. *)
-val to_small : t -> (int * int) option
+(** [small_den t] is [d] when [t = n/d] lives in the native small
+    representation (|n| < 2{^30}, 0 < d < 2{^30}, coprime), and 0 when
+    the value has promoted to Bigint; [small_num t] is [n] when the
+    value is small (and 0 otherwise). The
+    fraction-free fast simplex ([Lp.Simplex.Fast]) uses them to
+    integerize model coefficients without a Bigint round trip or an
+    allocation. *)
+val small_den : t -> int
+
+val small_num : t -> int
 
 val to_float : t -> float
 val to_string : t -> string

@@ -92,6 +92,10 @@ let json ?stats () =
         ("exact_kernel", Json.String Lp.Simplex.exact_kernel);
         ("fast_solves", Json.Int (Telemetry.value Telemetry.numeric_fast_solves));
         ("fallbacks", Json.Int (Telemetry.value Telemetry.numeric_fallbacks));
+        (* Branch-and-bound nodes re-solved warm from their parent's
+           basis, and warm starts that fell back to a cold solve. *)
+        ("warm_solves", Json.Int (Telemetry.value Telemetry.lp_warm_solves));
+        ("warm_fallbacks", Json.Int (Telemetry.value Telemetry.lp_warm_fallbacks));
       ]
   in
   Json.Obj

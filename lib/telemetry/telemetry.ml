@@ -728,6 +728,8 @@ let text_exposition () =
 (* --- well-known counter names --- *)
 
 let lp_pivots = "lp.pivots"
+let lp_warm_solves = "lp.warm_solves"
+let lp_warm_fallbacks = "lp.warm_fallbacks"
 let numeric_fast_solves = "numeric.fast_solves"
 let numeric_fallbacks = "numeric.fallbacks"
 let milp_nodes = "milp.nodes"
@@ -774,6 +776,10 @@ let () =
           if not (Hashtbl.mem help_registry name) then
             Hashtbl.replace help_registry name help))
     [ (lp_pivots, "Simplex pivots across both LP engines.");
+      ( lp_warm_solves,
+        "LP re-solves answered by dual simplex from a parent basis." );
+      ( lp_warm_fallbacks,
+        "Warm LP re-solves that fell back to the cold two-phase solve." );
       (milp_nodes, "Branch-and-bound nodes evaluated.");
       (milp_incumbents, "Incumbent improvements (warm starts included).");
       (heuristic_evals, "Cost-oracle evaluations by the heuristics.");

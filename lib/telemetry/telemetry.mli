@@ -334,6 +334,16 @@ val escape_help : string -> string
     one and the fraction-free fast one. *)
 val lp_pivots : string
 
+(** Warm LP re-solves ([Lp.Simplex.solve_from] with a [Warm] start)
+    answered by dual simplex from the parent's basis: every
+    branch-and-bound node below the root. *)
+val lp_warm_solves : string
+
+(** Warm LP re-solves that fell back to the cold two-phase solve: the
+    parent basis did not fit, left an artificial basic, was singular,
+    or the dual pivot cap ran out. Zero on the paper workloads. *)
+val lp_warm_fallbacks : string
+
 (** Solves completed on the fraction-free fast simplex
     ([Lp.Simplex.Fast]) by the fast-first driver in [Rentcost.Ilp]. *)
 val numeric_fast_solves : string

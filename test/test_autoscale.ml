@@ -264,6 +264,20 @@ let test_elastic_outcome_consistent () =
   Alcotest.(check int) "violations = violating plans" outcome.Po.violations
     (List.length (List.filter (fun (p : Ct.plan) -> p.Ct.violation) plans))
 
+(* Provisioned throughput is what the machines sustain, not the split
+   the solver happened to return: on the illustrating instance two
+   equal-cost target-51 optima rent the same machines with
+   rho = (40, 0, 20) and (40, 0, 11). *)
+let test_provisioned_ignores_split () =
+  let instance = Rentcost.Instance.compile illustrating in
+  let wide = AL.of_rho illustrating ~rho:[| 40; 0; 20 |] in
+  let narrow =
+    AL.make illustrating ~rho:[| 40; 0; 11 |] ~machines:wide.AL.machines
+  in
+  let p_wide = Ct.provisioned instance wide and p_narrow = Ct.provisioned instance narrow in
+  Alcotest.(check int) "same machines, same provisioned" p_wide p_narrow;
+  Alcotest.(check bool) "at least either split" true (p_wide >= 60 && p_narrow >= 60)
+
 let suite =
   ( "autoscale",
     [ prop_diurnal_deterministic;
@@ -280,6 +294,8 @@ let suite =
         test_controller_decision_rule;
       Alcotest.test_case "controller validates inputs" `Quick
         test_controller_validates;
+      Alcotest.test_case "provisioned ignores the split" `Quick
+        test_provisioned_ignores_split;
       Alcotest.test_case "policy ordering on the diurnal trace" `Quick
         test_policy_ordering;
       Alcotest.test_case "elastic outcome is self-consistent" `Quick

@@ -543,3 +543,234 @@ let bounds_suite =
       case "equality rows" test_eq_rows;
       case "negative rhs rows (phase 1)" test_negative_rhs_rows ]
     @ bounds_props )
+
+(* --- warm starts (Simplex.solve_from) ---
+
+   Every case re-solves a child model from its parent's optimal basis
+   on both engines; the two must agree bit for bit (result and basis),
+   and match a cold solve of the child. *)
+
+let warm_engines =
+  [ ("exact", S.solve_from); ("fast", S.Fast.solve_from) ]
+
+let same_result a b =
+  match (a, b) with
+  | S.Optimal x, S.Optimal y ->
+    R.equal x.S.objective y.S.objective && Array.for_all2 R.equal x.S.values y.S.values
+  | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
+  | _ -> false
+
+let same_status_and_objective a b =
+  match (a, b) with
+  | S.Optimal x, S.Optimal y -> R.equal x.S.objective y.S.objective
+  | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
+  | _ -> false
+
+let parent_basis solve_from model =
+  match solve_from S.Cold model with
+  | S.Optimal _, Some b -> b
+  | _ -> Alcotest.fail "parent has no optimal basis"
+
+(* [child] is [parent] with bound [(v, side)] tightened to [b]. *)
+let child_of parent v side b =
+  let c = M.copy parent in
+  (match side with
+   | S.Upper -> M.tighten_upper c v b
+   | S.Lower -> M.tighten_lower c v b);
+  c
+
+let pivots () = Telemetry.value Telemetry.lp_pivots
+
+(* Warm re-solve of [child] on both engines: returns the exact result
+   and its pivot count after checking the engines agree, that the
+   solve stayed warm, and that it matches the cold solve. *)
+let warm_check name ~parent ~child v side =
+  let runs =
+    List.map
+      (fun (engine, solve_from) ->
+        let basis = parent_basis solve_from parent in
+        let fb0 = Telemetry.value Telemetry.lp_warm_fallbacks in
+        let p0 = pivots () in
+        let result, final = solve_from (S.Warm (basis, v, side)) child in
+        let used = pivots () - p0 in
+        Alcotest.(check int)
+          (Printf.sprintf "%s/%s: no fallback" name engine)
+          fb0
+          (Telemetry.value Telemetry.lp_warm_fallbacks);
+        (result, Option.map S.columns final, used))
+      warm_engines
+  in
+  match runs with
+  | [ (r_exact, cols_exact, p_exact); (r_fast, cols_fast, p_fast) ] ->
+    Alcotest.(check bool) (name ^ ": engines agree") true (same_result r_exact r_fast);
+    Alcotest.(check bool) (name ^ ": same final basis") true (cols_exact = cols_fast);
+    Alcotest.(check int) (name ^ ": same pivots") p_exact p_fast;
+    Alcotest.(check bool)
+      (name ^ ": matches the cold solve")
+      true
+      (same_status_and_objective r_exact (S.solve child));
+    (r_exact, p_exact)
+  | _ -> assert false
+
+(* min x + y  s.t.  x + 2y >= 7,  3x + y >= 6: optimum (1, 3), both
+   structurals basic. *)
+let two_row_model () =
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.add_constraint m (expr [ (x, 1); (y, 2) ]) M.Ge (ri 7);
+  M.add_constraint m (expr [ (x, 3); (y, 1) ]) M.Ge (ri 6);
+  M.set_objective m M.Minimize (expr [ (x, 1); (y, 1) ]);
+  (m, x, y)
+
+let test_warm_upper_on_basic () =
+  let m, _, y = two_row_model () in
+  let r, used = warm_check "y <= 2" ~parent:m ~child:(child_of m y S.Upper (ri 2)) y S.Upper in
+  (* y <= 2 forces x = 3 (first row), objective 5. *)
+  check_rat "objective" (ri 5) (match r with S.Optimal s -> s.S.objective | _ -> R.zero);
+  Alcotest.(check int) "one dual pivot" 1 used
+
+let test_warm_lower_on_basic () =
+  let m, x, _ = two_row_model () in
+  let res, used = warm_check "x >= 2" ~parent:m ~child:(child_of m x S.Lower (ri 2)) x S.Lower in
+  (* x >= 2: y = 5/2 from the first row, objective 9/2. *)
+  check_rat "objective" (r 9 2) (match res with S.Optimal s -> s.S.objective | _ -> R.zero);
+  Alcotest.(check int) "one dual pivot" 1 used
+
+let test_warm_bound_on_nonbasic () =
+  (* min x + 2y s.t. x + y >= 4: y is nonbasic at 0, so y <= 1 leaves
+     the parent basis optimal. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Ge (ri 4);
+  M.set_objective m M.Minimize (expr [ (x, 1); (y, 2) ]);
+  ignore x;
+  let r, used = warm_check "y <= 1" ~parent:m ~child:(child_of m y S.Upper (ri 1)) y S.Upper in
+  check_rat "objective" (ri 4) (match r with S.Optimal s -> s.S.objective | _ -> R.zero);
+  Alcotest.(check int) "no pivot" 0 used
+
+let test_warm_retightened_bound () =
+  let m, _, y = two_row_model () in
+  let parent = child_of m y S.Upper (ri 2) in
+  let r, _ =
+    warm_check "y <= 2 then y <= 1" ~parent ~child:(child_of parent y S.Upper (ri 1)) y S.Upper
+  in
+  (* y <= 1: x = 5 from the first row, objective 6. *)
+  check_rat "objective" (ri 6) (match r with S.Optimal s -> s.S.objective | _ -> R.zero)
+
+let test_warm_infeasible_child () =
+  (* x + y >= 10 with y <= 2: x <= 3 leaves no point. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Ge (ri 10);
+  M.tighten_upper m y (ri 2);
+  M.set_objective m M.Minimize (expr [ (x, 1); (y, 1) ]);
+  let r, _ = warm_check "x <= 3" ~parent:m ~child:(child_of m x S.Upper (ri 3)) x S.Upper in
+  Alcotest.(check bool) "infeasible" true (r = S.Infeasible)
+
+let test_warm_dual_degenerate_tie () =
+  (* min x + y + z s.t. x + y + z >= 5: one variable is basic at 5 and
+     the other two price out at zero. Capping the basic one at 0 leaves
+     the two with the same dual ratio (0 / 1), so the smaller column
+     must enter, on both engines. *)
+  let m = M.create () in
+  let vars = List.init 3 (fun i -> M.add_var m ~name:(Printf.sprintf "v%d" i)) in
+  M.add_constraint m (expr (List.map (fun v -> (v, 1)) vars)) M.Ge (ri 5);
+  M.set_objective m M.Minimize (expr (List.map (fun v -> (v, 1)) vars));
+  let basic =
+    match S.solve m with
+    | S.Optimal s -> List.find (fun v -> R.sign s.S.values.(v) > 0) vars
+    | _ -> Alcotest.fail "parent solvable"
+  in
+  let r, used = warm_check "tie" ~parent:m ~child:(child_of m basic S.Upper R.zero) basic S.Upper in
+  Alcotest.(check int) "one dual pivot" 1 used;
+  match r with
+  | S.Optimal s ->
+    check_rat "objective" (ri 5) s.S.objective;
+    let entered = List.find (fun v -> v <> basic) vars in
+    check_rat "the smaller tied column entered" (ri 5) s.S.values.(entered)
+  | _ -> Alcotest.fail "child solvable"
+
+let test_warm_fallback () =
+  (* A model that is not the parent plus one bound (a row was added)
+     falls back to the cold solve, counted, with the cold answer. *)
+  let m, x, _ = two_row_model () in
+  let basis = parent_basis S.solve_from m in
+  let other = M.copy m in
+  M.add_constraint other (expr [ (x, 1) ]) M.Ge (ri 2);
+  M.tighten_upper other x (ri 10);
+  let fb0 = Telemetry.value Telemetry.lp_warm_fallbacks in
+  let r, _ = S.solve_from (S.Warm (basis, x, S.Upper)) other in
+  Alcotest.(check int) "fallback counted" (fb0 + 1) (Telemetry.value Telemetry.lp_warm_fallbacks);
+  Alcotest.(check bool) "cold answer" true (same_result r (S.solve other))
+
+let test_model_copies_share_constraints () =
+  let m, x, _ = two_row_model () in
+  let c = M.copy m in
+  M.tighten_upper c x (ri 3);
+  Alcotest.(check bool) "same list" true (M.constraints m == M.constraints c);
+  Alcotest.(check int) "bounds counted" 1 (M.num_bounds c);
+  Alcotest.(check int) "original untouched" 0 (M.num_bounds m);
+  M.add_constraint c (expr [ (x, 1) ]) M.Le (ri 9);
+  Alcotest.(check bool) "a new row unshares" false (M.constraints m == M.constraints c);
+  Alcotest.(check int) "original rows" 2 (List.length (M.constraints m))
+
+(* Random covering models and a random bound on one variable: the warm
+   re-solve from the parent basis reaches the cold solve's status and
+   objective, on both engines, which agree bit for bit. *)
+let warm_gen =
+  QCheck2.Gen.(
+    pair covering_gen (triple (int_range 0 3) bool (int_range 0 9)))
+
+let warm_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"warm re-solve matches a cold solve of the child"
+       warm_gen (fun (input, (v, upper, b)) ->
+         let parent = build_covering input in
+         let v = v mod M.num_vars parent in
+         let side = if upper then S.Upper else S.Lower in
+         let child = child_of parent v side (ri (if upper then b else b + 1)) in
+         let warm solve_from =
+           match solve_from S.Cold parent with
+           | S.Optimal _, Some basis -> fst (solve_from (S.Warm (basis, v, side)) child)
+           | _ -> S.Unbounded
+         in
+         let exact = warm S.solve_from and fast = warm S.Fast.solve_from in
+         same_result exact fast && same_status_and_objective exact (S.solve child)))
+
+(* The same on the mixed models of the bounded battery: lower and upper
+   bounds already in the parent, Le/Ge/Eq rows with either sign of
+   right-hand side, either objective sense. *)
+let warm_mixed_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"warm re-solve matches a cold solve on mixed models"
+       QCheck2.Gen.(pair bounded_gen (triple (int_range 0 3) bool (int_range 0 9)))
+       (fun (input, (v, upper, b)) ->
+         let parent = build_bounded input in
+         let v = v mod M.num_vars parent in
+         let side = if upper then S.Upper else S.Lower in
+         let child = child_of parent v side (ri (if upper then b else b + 1)) in
+         let warm solve_from =
+           match solve_from S.Cold parent with
+           | S.Optimal _, Some basis -> Some (fst (solve_from (S.Warm (basis, v, side)) child))
+           | _ -> None
+         in
+         match (warm S.solve_from, warm S.Fast.solve_from) with
+         | Some exact, Some fast ->
+           same_result exact fast && same_status_and_objective exact (S.solve child)
+         | None, None -> true
+         | _ -> false))
+
+let warm_suite =
+  ( "warm",
+    [ Alcotest.test_case "upper bound on a basic variable" `Quick test_warm_upper_on_basic;
+      Alcotest.test_case "lower bound on a basic variable" `Quick test_warm_lower_on_basic;
+      Alcotest.test_case "bound on a nonbasic variable" `Quick test_warm_bound_on_nonbasic;
+      Alcotest.test_case "re-tightened bound" `Quick test_warm_retightened_bound;
+      Alcotest.test_case "bound that empties the child" `Quick test_warm_infeasible_child;
+      Alcotest.test_case "dual-degenerate tie" `Quick test_warm_dual_degenerate_tie;
+      Alcotest.test_case "not a child falls back cold" `Quick test_warm_fallback;
+      Alcotest.test_case "model copies share constraints" `Quick
+        test_model_copies_share_constraints;
+      warm_prop;
+      warm_mixed_prop ] )

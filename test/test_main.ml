@@ -11,6 +11,7 @@ let () =
       Test_simplex_oracle.suite;
       Test_lp_format.suite;
       Test_lp.bounds_suite;
+      Test_lp.warm_suite;
       Test_milp.suite;
       Test_knapsack.suite;
       Test_model.suite;

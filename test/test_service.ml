@@ -566,7 +566,10 @@ let test_metrics_reply () =
           | Some n -> n >= 1
           | None -> false);
        Alcotest.(check bool) "fallbacks exposed" true
-         (J.get_int "fallbacks" numeric <> None)
+         (J.get_int "fallbacks" numeric <> None);
+       Alcotest.(check bool) "warm node solves exposed" true
+         (J.get_int "warm_solves" numeric <> None
+         && J.get_int "warm_fallbacks" numeric <> None)
      | None -> Alcotest.fail "metrics carry no numeric section");
     Alcotest.(check bool) "text exposition covers service counters" true
       (contains ~sub:"service_requests_total" text);
